@@ -61,7 +61,6 @@ from repro.fleet import (
     FleetWorkload,
     GatewayMesh,
     HealthMonitor,
-    HeterogeneousFleet,
     LiteFleet,
     MeshWorkload,
     UserPool,
@@ -381,11 +380,11 @@ def phase_mixed_fleet(args, build) -> dict:
     deployment, gateway, kernel = _world(
         build, snp_backends, args.seed, args.balancer
     )
-    fleet = HeterogeneousFleet(deployment)
+    fleet = LiteFleet(deployment)
     for index in range(args.hetero_per_family):
-        fleet.add_tdx_backend(f"10.1.0.{10 + index}")
-        fleet.add_cca_backend(f"10.1.0.{40 + index}")
-        fleet.add_vtpm_backend(f"10.1.0.{70 + index}")
+        fleet.add_backend(f"10.1.0.{10 + index}", "tdx")
+        fleet.add_backend(f"10.1.0.{40 + index}", "arm-cca")
+        fleet.add_backend(f"10.1.0.{70 + index}", "e-vtpm")
     verdicts = fleet.attach_gateway(gateway)
     assert all(v.ok for v in verdicts), [
         (v.ip_address, v.reason) for v in verdicts if not v.ok

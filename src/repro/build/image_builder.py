@@ -339,14 +339,9 @@ def build_revelio_image(
     )
     disk_image = _assemble_disk(spec, rootfs_image, verity_bytes)
 
-    # The legacy per-partition parameters stay alongside the dm tables
-    # so images remain bootable by older init-step implementations.
     initrd = InitrdDescriptor(
         init_steps=spec.init_steps,
         parameters={
-            "rootfs_partition": "rootfs",
-            "verity_partition": "verity",
-            "data_partition": "data",
             "rootfs_table": ROOTFS_DM_TABLE,
             "data_table": DATA_DM_TABLE,
         },

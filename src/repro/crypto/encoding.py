@@ -34,6 +34,12 @@ TAG_DICT = 0x08
 
 _LEN = struct.Struct(">I")
 
+#: Deepest list/dict nesting :func:`decode` accepts.  Canonical
+#: structures nest a handful of levels; hostile bytes nested deeper
+#: would otherwise exhaust the interpreter stack (``RecursionError``,
+#: which callers catching ``ValueError`` would let escape).
+MAX_DEPTH = 64
+
 
 class EncodingError(ValueError):
     """Raised when a value cannot be canonically encoded."""
@@ -107,15 +113,15 @@ def decode(data: bytes) -> Encodable:
     """Decode a canonical encoding produced by :func:`encode`.
 
     Raises :class:`DecodingError` on malformed or non-canonical input,
-    including trailing bytes.
+    including trailing bytes and nesting deeper than :data:`MAX_DEPTH`.
     """
-    value, consumed = _decode_at(data, 0)
+    value, consumed = _decode_at(data, 0, 0)
     if consumed != len(data):
         raise DecodingError("trailing bytes after encoded value")
     return value
 
 
-def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
+def _decode_at(data: bytes, offset: int, depth: int) -> Tuple[Encodable, int]:
     if offset + 5 > len(data):
         raise DecodingError("truncated frame header")
     tag = data[offset]
@@ -145,9 +151,9 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
         except UnicodeDecodeError as exc:
             raise DecodingError("invalid UTF-8 in string") from exc
     if tag == TAG_LIST:
-        return _decode_list(body), body_end
+        return _decode_list(body, depth + 1), body_end
     if tag == TAG_DICT:
-        return _decode_dict(body), body_end
+        return _decode_dict(body, depth + 1), body_end
     raise DecodingError(f"unknown tag 0x{tag:02x}")
 
 
@@ -167,22 +173,26 @@ def _decode_int(tag: int, body: bytes) -> int:
     return magnitude
 
 
-def _decode_list(body: bytes) -> list:
+def _decode_list(body: bytes, depth: int) -> list:
+    if depth > MAX_DEPTH:
+        raise DecodingError(f"nesting deeper than {MAX_DEPTH} levels")
     items = []
     offset = 0
     while offset < len(body):
-        value, offset = _decode_at(body, offset)
+        value, offset = _decode_at(body, offset, depth)
         items.append(value)
     return items
 
 
-def _decode_dict(body: bytes) -> dict:
+def _decode_dict(body: bytes, depth: int) -> dict:
+    if depth > MAX_DEPTH:
+        raise DecodingError(f"nesting deeper than {MAX_DEPTH} levels")
     result: Dict[str, Encodable] = {}
     offset = 0
     previous_key: bytes = b""
     first = True
     while offset < len(body):
-        key, offset = _decode_at(body, offset)
+        key, offset = _decode_at(body, offset, depth)
         if not isinstance(key, str):
             raise DecodingError("dict key is not a string")
         key_bytes = key.encode("utf-8")
@@ -192,6 +202,6 @@ def _decode_dict(body: bytes) -> dict:
         previous_key = key_bytes
         if offset >= len(body):
             raise DecodingError("dict key without value")
-        value, offset = _decode_at(body, offset)
+        value, offset = _decode_at(body, offset, depth)
         result[key] = value
     return result

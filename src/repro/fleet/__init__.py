@@ -1,4 +1,4 @@
-"""Attestation-aware fleet serving: gateway, health, drains, workloads.
+"""Attestation-aware fleet serving: gateway, mesh, rollouts, workloads.
 
 The paper's deployments (CryptPad, IC boundary nodes — sections
 6.2-6.3) are *fleets* behind a load balancer, serving end-users at
@@ -8,6 +8,13 @@ while its :mod:`repro.attest` verdict is fresh and passing (DESIGN.md
 invariant 11), probes liveness and re-attests periodically, drains
 connections for zero-downtime rollouts under load, and generates open-
 and closed-loop end-user traffic on the :mod:`repro.sim` event kernel.
+
+One class, :class:`LiteFleet`, models every backend outside the SNP
+deployment (any TEE family, serving full TLS and lite sessions); its
+``attach_gateway`` wires it to one gateway and
+:meth:`GatewayMesh.attach_lite_fleet` to a sharded mesh.  Updates roll
+through :func:`rolling_rollout` behind one gateway and through
+:class:`FleetProvisioner` across a mesh.
 """
 
 from repro.fleet.drain import RollingRolloutReport, drain_backend, rolling_rollout
@@ -30,7 +37,6 @@ from repro.fleet.gateway import (
     GatewayError,
 )
 from repro.fleet.health import HealthMonitor
-from repro.fleet.hetero import HeteroBackend, HeterogeneousFleet
 from repro.fleet.mesh import (
     GOSSIP_REJECT_REASONS,
     ConsistentHashRing,
@@ -38,9 +44,7 @@ from repro.fleet.mesh import (
     GossipedVerdict,
     LiteBackend,
     LiteFleet,
-    MeshRolloutReport,
     MeshWorkload,
-    region_rollout,
 )
 from repro.fleet.provision import FleetProvisioner, ProvisionReport
 from repro.fleet.workload import FleetWorkload, UserPool
@@ -59,12 +63,9 @@ __all__ = [
     "GatewayMesh",
     "GossipedVerdict",
     "HealthMonitor",
-    "HeteroBackend",
-    "HeterogeneousFleet",
     "KdsBlackhole",
     "LiteBackend",
     "LiteFleet",
-    "MeshRolloutReport",
     "MeshWorkload",
     "ProvisionReport",
     "RollingRolloutReport",
@@ -75,7 +76,6 @@ __all__ = [
     "kill_backend",
     "raise_family_tcb_floor",
     "raise_tcb_floor",
-    "region_rollout",
     "revoke_family",
     "rolling_rollout",
     "slow_disk",

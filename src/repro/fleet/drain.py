@@ -27,7 +27,7 @@ extensions must know both goldens to ride through without disruption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.deployment import AppFactory, default_app
 from ..core.rollout import RolloutError, replace_node, update_golden_set
@@ -52,25 +52,29 @@ class RollingRolloutReport:
 
 
 def drain_backend(
-    gateway: FleetGateway,
+    gateways: Sequence[FleetGateway],
     ip_address: str,
     poll_interval: float = 0.05,
     deadline: float = 60.0,
 ):
-    """Kernel process: drain one backend, then retire it.
-
-    Returns the number of poll rounds waited.
+    """Kernel process: drain one backend on every gateway that routes
+    to it, then retire it on all of them.  The gateways share the
+    backend's service station, so its outstanding count is the drain's
+    condition.  Returns the number of poll rounds waited.
     """
-    backend = gateway.backends[ip_address]
-    gateway.mark_draining(ip_address)
-    started = gateway.network.clock.now
+    for gateway in gateways:
+        gateway.mark_draining(ip_address)
+    server = gateways[0].backends[ip_address].server
+    clock = gateways[0].network.clock
+    started = clock.now
     rounds = 0
-    while backend.server is not None and backend.server.outstanding > 0:
-        if gateway.network.clock.now - started >= deadline:
+    while server is not None and server.outstanding > 0:
+        if clock.now - started >= deadline:
             break
         rounds += 1
         yield sleep(poll_interval)
-    gateway.retire(ip_address)
+    for gateway in gateways:
+        gateway.retire(ip_address)
     return rounds
 
 
@@ -147,7 +151,7 @@ def rolling_rollout(
                 continue
         node_started = clock.now
         rounds = yield from drain_backend(
-            gateway, ip_address, poll_interval=drain_poll, deadline=drain_deadline
+            [gateway], ip_address, poll_interval=drain_poll, deadline=drain_deadline
         )
         key_holder = _key_holder_ip(deployment, exclude_ip=ip_address)
         replace_node(

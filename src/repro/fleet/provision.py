@@ -39,6 +39,7 @@ via signed-manifest epochs", operationally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..attest import TeeFamily
@@ -49,8 +50,7 @@ from ..core.deployment import AppFactory, default_app
 from ..core.rollout import RolloutError, replace_node, update_golden_set
 from ..core.trusted_registry import StaticRegistry
 from ..crypto.keys import PrivateKey
-from ..sim.kernel import sleep
-from .drain import _key_holder_ip
+from .drain import _key_holder_ip, drain_backend
 from .mesh import GatewayMesh, LiteFleet
 
 
@@ -271,14 +271,6 @@ class FleetProvisioner:
 
         lite = self.lite_fleet
         old_snp_goldens = set(lite.snp_goldens()) if lite is not None else set()
-        old_family_goldens = (
-            {
-                family: set(goldens)
-                for family, goldens in lite._family_goldens.items()
-            }
-            if lite is not None
-            else {}
-        )
         retired_requests_before = self._retired_requests()
 
         update_regions = regions
@@ -291,15 +283,28 @@ class FleetProvisioner:
                 update_regions.append(None)
 
         # -- deliver / apply / re-attest / admit, region-serial ------
+        snp = str(TeeFamily.SEV_SNP)
         for region in update_regions:
             entry = plan.get(region)
             if entry is None:
                 continue
             region_started = clock.now
             replaced: List[dict] = []
-
-            for index in entry["nodes"]:
-                ip_address = deployment.nodes[index].host.ip_address
+            targets = [
+                (
+                    deployment.nodes[index].host.ip_address, snp, "deployment",
+                    partial(self._replace_node, index, target_build,
+                            app_factory, registry),
+                )
+                for index in entry["nodes"]
+            ] + [
+                (
+                    backend.ip_address, backend.family, f"lite-{backend.family}",
+                    partial(self._update_lite, backend, new_measurement),
+                )
+                for backend in entry["lite"]
+            ]
+            for ip_address, family, kind, relaunch in targets:
                 node_started = clock.now
                 applied = self._node_update(
                     base_build.image, signed, blob, report,
@@ -309,103 +314,23 @@ class FleetProvisioner:
                     raise RolloutError(
                         f"applied image for {ip_address} is not the target"
                     )
-                for gateway in gateways:
-                    gateway.mark_draining(ip_address)
-                server = mesh._servers.get(ip_address)
-                drain_started = clock.now
-                rounds = 0
-                while server is not None and server.outstanding > 0:
-                    if clock.now - drain_started >= drain_deadline:
-                        break
-                    rounds += 1
-                    yield sleep(drain_poll)
-                for gateway in gateways:
-                    gateway.retire(ip_address)
-                key_holder = _key_holder_ip(deployment, exclude_ip=ip_address)
-                replace_node(
-                    deployment, index, target_build, app_factory,
-                    node_registry=registry,
+                rounds = yield from drain_backend(
+                    gateways, ip_address,
+                    poll_interval=drain_poll, deadline=drain_deadline,
                 )
-                deployment.sp.admit_node(
-                    ip_address, key_holder,
-                    deployment.provisioning.certificate_chain,
-                )
-                if lite is not None:
-                    # The replacement re-bound port 443; restore the
-                    # lite dispatcher in front of its fresh TLS handler.
-                    lite.adopt_node(deployment.nodes[index])
-                mesh._servers.pop(ip_address, None)
-                mesh.add_backend(
-                    ip_address, concurrency=concurrency, region=region
-                )
-                home = mesh.home_gateway(ip_address)
-                verdict = home.attest_and_admit(ip_address)
+                relaunch()
+                verdict = mesh.readmit(ip_address, family, region, concurrency)
                 report.reattested += 1
                 if not verdict.ok:
                     raise RolloutError(
-                        f"replacement node {ip_address} failed admission: "
-                        f"{verdict.reason} ({verdict.detail})"
+                        f"replacement {kind} backend {ip_address} failed "
+                        f"admission: {verdict.reason} ({verdict.detail})"
                     )
                 report.admitted += 1
-                mesh.flush_gossip()
                 replaced.append(
                     {
                         "ip_address": ip_address,
-                        "kind": "deployment",
-                        "drain_poll_rounds": rounds,
-                        "sim_seconds": clock.now - node_started,
-                    }
-                )
-
-            for backend in entry["lite"]:
-                ip_address = backend.ip_address
-                node_started = clock.now
-                self._node_update(
-                    base_build.image, signed, blob, report,
-                    node_measurement=old_measurement,
-                )
-                for gateway in gateways:
-                    gateway.mark_draining(ip_address)
-                server = mesh._servers.get(ip_address)
-                drain_started = clock.now
-                rounds = 0
-                while server is not None and server.outstanding > 0:
-                    if clock.now - drain_started >= drain_deadline:
-                        break
-                    rounds += 1
-                    yield sleep(drain_poll)
-                for gateway in gateways:
-                    gateway.retire(ip_address)
-                assert lite is not None
-                lite.update_backend(backend, token=new_measurement)
-                mesh._servers.pop(ip_address, None)
-                mesh.add_backend(
-                    ip_address, concurrency=concurrency,
-                    family=backend.family, region=region,
-                )
-                # The updated workload's golden joined the lite fleet's
-                # sets; sync it to every shard before re-attesting.
-                snp_goldens = lite.snp_goldens()
-                family_policies = lite.family_policies()
-                for gateway in gateways:
-                    gateway.golden_measurements = sorted(
-                        {*gateway.golden_measurements, *snp_goldens}
-                    )
-                    gateway.family_policies.update(family_policies)
-                home = mesh.home_gateway(ip_address)
-                verdict = home.attest_and_admit(ip_address)
-                report.reattested += 1
-                if not verdict.ok:
-                    raise RolloutError(
-                        f"updated backend {ip_address} failed admission: "
-                        f"{verdict.reason} ({verdict.detail})"
-                    )
-                report.admitted += 1
-                mesh.flush_gossip()
-                replaced.append(
-                    {
-                        "ip_address": ip_address,
-                        "kind": f"lite-{backend.family}",
+                        "kind": kind,
                         "drain_poll_rounds": rounds,
                         "sim_seconds": clock.now - node_started,
                     }
@@ -424,36 +349,47 @@ class FleetProvisioner:
         deployment.build = target_build
         revoked = {old_measurement}
         if lite is not None:
-            live = {bytes(b.measurement) for b in lite.backends}
-            for family, goldens in old_family_goldens.items():
-                for golden in goldens:
-                    if golden not in live:
-                        lite.retire_measurement(family, golden)
-            snp_family = str(TeeFamily.SEV_SNP)
-            for golden in old_snp_goldens:
-                if golden not in live:
-                    lite.retire_measurement(snp_family, golden)
-                    revoked.add(golden)
-            family_policies = lite.family_policies()
-            snp_goldens = set(lite.snp_goldens())
-        else:
-            family_policies = None
-            snp_goldens = set()
+            lite.retire_unused_goldens()
+            revoked |= old_snp_goldens - set(lite.snp_goldens())
         for gateway in gateways:
-            gateway.golden_measurements = sorted(
-                {new_measurement, *snp_goldens}
-            )
+            gateway.golden_measurements = [new_measurement]
             gateway.revoked_measurements = sorted(
                 {*gateway.revoked_measurements, *revoked}
             )
-            if family_policies is not None:
-                gateway.family_policies.update(family_policies)
+            if lite is not None:
+                lite.configure(gateway)
 
         report.requests_to_unattested = (
             self._retired_requests() - retired_requests_before
         )
         report.finished_at = clock.now
         return report
+
+    def _replace_node(self, index: int, target_build, app_factory,
+                      registry) -> None:
+        """Relaunch deployment node *index* on *target_build*: the SP
+        re-admits it (it pulls the shared TLS key from a serving peer)
+        and the lite dispatcher is re-installed over its fresh TLS
+        handler."""
+        deployment = self.deployment
+        ip_address = deployment.nodes[index].host.ip_address
+        key_holder = _key_holder_ip(deployment, exclude_ip=ip_address)
+        replace_node(
+            deployment, index, target_build, app_factory,
+            node_registry=registry,
+        )
+        deployment.sp.admit_node(
+            ip_address, key_holder, deployment.provisioning.certificate_chain,
+        )
+        if self.lite_fleet is not None:
+            self.lite_fleet.adopt_node(deployment.nodes[index])
+
+    def _update_lite(self, backend, token: bytes) -> None:
+        """Relaunch a lite backend at the update's state and give every
+        gateway its new golden before it is re-attested."""
+        self.lite_fleet.update_backend(backend, token)
+        for name in sorted(self.mesh.gateways):
+            self.lite_fleet.configure(self.mesh.gateways[name])
 
     # -- instrumentation --------------------------------------------
 

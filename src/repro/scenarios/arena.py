@@ -3,12 +3,13 @@
 One class per arena (see :mod:`repro.scenarios.spec`):
 
 * :class:`StormWorld` — a deployed SNP fleet (plus optional
-  heterogeneous backends) behind a :class:`~repro.fleet.FleetGateway`
-  on a fresh event kernel, ready to be stormed.  It also owns the
-  resources injectors share: deterministic DRBG forks, a rogue-IP
-  allocator, the fleet's shared TLS identity (for serving impostor or
-  rogue evidence the way real backends serve theirs), and lookups from
-  backend IP to the deployed node.
+  other-family backends of a :class:`~repro.fleet.LiteFleet`) behind a
+  :class:`~repro.fleet.FleetGateway` on a fresh event kernel, ready to
+  be stormed.  It also owns the resources injectors share:
+  deterministic DRBG forks, a rogue-IP allocator, the fleet's shared
+  TLS identity (for serving impostor or rogue evidence the way real
+  backends serve theirs), and lookups from backend IP to the deployed
+  node.
 * :class:`PipelineWorld` — per-family attestation infrastructure and a
   verifier holding every family's trust material, for direct-pipeline
   scenarios (the long tail of reason codes that need no traffic).
@@ -44,7 +45,7 @@ from ..core.kds_client import KdsClient
 from ..core.key_sharing import report_data_for
 from ..crypto.drbg import HmacDrbg
 from ..crypto.keys import PrivateKey
-from ..fleet import FleetGateway, HeterogeneousFleet
+from ..fleet import FleetGateway, LiteFleet
 from ..net.http import HttpResponse, HttpServer
 from ..net.latency import LatencyModel, SimClock
 from ..sim import EventKernel, SimRng
@@ -94,27 +95,23 @@ class StormWorld:
             (v.ip_address, v.reason) for v in verdicts if not v.ok
         ]
 
-        self.hetero = HeterogeneousFleet(self.deployment)
+        self.fleet = LiteFleet(self.deployment)
         self.hetero_ips: Dict[str, List[str]] = {}
-        adders = {
-            str(TeeFamily.TDX): (self.hetero.add_tdx_backend, "10.8.1."),
-            str(TeeFamily.CCA): (self.hetero.add_cca_backend, "10.8.2."),
-            str(TeeFamily.VTPM): (self.hetero.add_vtpm_backend, "10.8.3."),
+        prefixes = {
+            str(TeeFamily.TDX): "10.8.1.",
+            str(TeeFamily.CCA): "10.8.2.",
+            str(TeeFamily.VTPM): "10.8.3.",
         }
         for family in campaign.hetero_families:
-            add, prefix = adders[str(family)]
-            ip = prefix + "10"
-            add(ip)
+            ip = prefixes[str(family)] + "10"
+            self.fleet.add_backend(ip, family)
             self.hetero_ips.setdefault(str(family), []).append(ip)
-        if self.hetero.backends:
-            verdicts = self.hetero.attach_gateway(self.gateway)
-            assert all(v.ok for v in verdicts), [
-                (v.ip_address, v.reason) for v in verdicts if not v.ok
-            ]
-        else:
-            # Family scenarios still need the contexts (e.g. a rogue
-            # registered under a family with no honest peers).
-            self.gateway.verifier.contexts.update(self.hetero.contexts())
+        # Family scenarios need the contexts even with no honest peers
+        # (e.g. a rogue registered under an otherwise absent family).
+        verdicts = self.fleet.attach_gateway(self.gateway)
+        assert all(v.ok for v in verdicts), [
+            (v.ip_address, v.reason) for v in verdicts if not v.ok
+        ]
 
         self.node_ips = [
             self.deployment.node_ip(i) for i in range(campaign.backends)

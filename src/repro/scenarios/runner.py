@@ -283,11 +283,11 @@ class CampaignRunner:
 
             family_goldens = {
                 family: policy.golden_measurements
-                for family, policy in world.hetero.family_policies().items()
+                for family, policy in world.fleet.family_policies().items()
             }
 
             def extension_setup(extension):
-                extension.verifier.contexts.update(world.hetero.contexts())
+                extension.verifier.contexts.update(world.fleet.contexts())
                 extension.register_site(
                     world.deployment.domain, family_measurements=family_goldens
                 )

@@ -115,3 +115,37 @@ class TestErrors:
         bad = bytes([encoding.TAG_DICT]) + len(key).to_bytes(4, "big") + key
         with pytest.raises(encoding.DecodingError):
             encoding.decode(bad)
+
+
+def nested_lists(levels: int) -> bytes:
+    """*levels* empty-bodied lists wrapped inside each other, built as
+    raw frames (the encoder would recurse just as deep)."""
+    data = encoding.encode([])
+    for _ in range(levels - 1):
+        data = bytes([encoding.TAG_LIST]) + len(data).to_bytes(4, "big") + data
+    return data
+
+
+class TestNestingBound:
+    def test_deep_nesting_is_a_decoding_error(self):
+        # ~3 KB of nested list headers: past the interpreter's stack
+        # without the bound, a typed error with it.
+        data = nested_lists(600)
+        assert len(data) == 3000
+        with pytest.raises(encoding.DecodingError, match="nesting"):
+            encoding.decode(data)
+
+    def test_dicts_count_towards_the_bound(self):
+        value = []
+        for _ in range(encoding.MAX_DEPTH):
+            value = {"k": value}
+        with pytest.raises(encoding.DecodingError, match="nesting"):
+            encoding.decode(encoding.encode(value))
+
+    def test_nesting_at_the_bound_round_trips(self):
+        value = []
+        for _ in range(encoding.MAX_DEPTH - 1):
+            value = [value]
+        assert encoding.decode(encoding.encode(value)) == value
+        with pytest.raises(encoding.DecodingError):
+            encoding.decode(nested_lists(encoding.MAX_DEPTH + 1))

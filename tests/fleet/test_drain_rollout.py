@@ -12,7 +12,7 @@ class TestDrain:
     def test_idle_backend_drains_immediately(self, event_world):
         _, gateway, kernel = event_world
         ip = sorted(gateway.backends)[0]
-        rounds = run_until_complete(kernel, drain_backend(gateway, ip))
+        rounds = run_until_complete(kernel, drain_backend([gateway], ip))
         assert rounds == 0
         assert gateway.backends[ip].state == "retired"
         assert gateway.counters["drains_started"] == 1
@@ -29,7 +29,7 @@ class TestDrain:
         kernel.spawn(busy_job(), name="busy")
 
         def drain():
-            rounds = yield from drain_backend(gateway, ip, poll_interval=0.25)
+            rounds = yield from drain_backend([gateway], ip, poll_interval=0.25)
             return rounds
 
         rounds = run_until_complete(kernel, drain())

@@ -5,6 +5,8 @@ import pytest
 from repro.core.deployment import MINIMAL_PAGE
 from repro.fleet import FleetGateway, GatewayError
 from repro.fleet.gateway import BackendState
+from repro.net.http import HTTPS_PORT
+from tests.crypto.test_encoding import nested_lists
 from tests.fleet.conftest import make_world
 
 
@@ -158,4 +160,11 @@ class TestCounters:
         _, gateway, _ = sync_world
         with pytest.raises(GatewayError, match="malformed_request"):
             gateway._handle(b"\xffgarbage", None)
+        assert gateway.counters["requests_malformed"] == 1
+
+    def test_deeply_nested_payload_is_a_malformed_request(self, sync_world):
+        deployment, gateway, _ = sync_world
+        client = deployment.network.add_host("nesting-client", "10.66.0.2")
+        with pytest.raises(GatewayError, match="malformed_request"):
+            client.request(gateway.host.ip_address, HTTPS_PORT, nested_lists(600))
         assert gateway.counters["requests_malformed"] == 1

@@ -4,15 +4,20 @@ that costs the survivors nothing."""
 
 import json
 
+import pytest
+
 from repro.crypto import ec, sigcache
 from repro.fleet import (
     FleetWorkload,
-    HeterogeneousFleet,
+    LiteFleet,
     UserPool,
     revoke_family,
 )
+from repro.net.http import HTTPS_PORT
+from repro.net.tls import TlsError
 from repro.sim import SimRng
 from repro.sim.kernel import sleep
+from tests.crypto.test_encoding import nested_lists
 from tests.fleet.conftest import make_world
 
 TIER_WEIGHTS = {"high": 0.3, "bulk": 0.7}
@@ -21,11 +26,11 @@ HIGH_TIER_FAMILIES = {"sev-snp", "e-vtpm"}
 
 def attach_hetero(deployment, gateway):
     """Two TDX + one CCA + one e-vTPM backend joined to the fleet."""
-    fleet = HeterogeneousFleet(deployment)
-    fleet.add_tdx_backend("10.1.0.10")
-    fleet.add_tdx_backend("10.1.0.11")
-    fleet.add_cca_backend("10.1.0.40")
-    fleet.add_vtpm_backend("10.1.0.70")
+    fleet = LiteFleet(deployment)
+    fleet.add_backend("10.1.0.10", "tdx")
+    fleet.add_backend("10.1.0.11", "tdx")
+    fleet.add_backend("10.1.0.40", "arm-cca")
+    fleet.add_backend("10.1.0.70", "e-vtpm")
     verdicts = fleet.attach_gateway(gateway)
     assert all(v.ok for v in verdicts), [
         (v.ip_address, v.reason) for v in verdicts if not v.ok
@@ -125,6 +130,20 @@ class TestMixedAdmission:
         result = browser.navigate(f"https://{deployment.domain}/")
         assert not result.blocked, result.block_reason
         assert gateway.counters["tier.bulk.sessions_opened"] >= 1
+
+
+    def test_deeply_nested_payload_is_a_tls_error_on_every_backend(
+        self, sync_world
+    ):
+        # Hostile nesting reaches the lite dispatcher and then the TLS
+        # handler of every backend kind; both must fail typed, never
+        # with RecursionError.
+        deployment, gateway, _ = sync_world
+        attach_hetero(deployment, gateway)
+        client = deployment.network.add_host("nesting-client", "10.66.0.2")
+        for ip in ("10.1.0.10", "10.1.0.70", deployment.node_ip(0)):
+            with pytest.raises(TlsError, match="malformed"):
+                client.request(ip, HTTPS_PORT, nested_lists(600))
 
 
 class TestMixedStorm:

@@ -69,9 +69,8 @@ class TestModifiedBootComponents:
         evil_initrd = InitrdDescriptor(
             init_steps=("verity-rootfs", "network-lockdown", "dm-crypt-data",
                         "identity-creation", "start-services"),
-            parameters={"rootfs_partition": "rootfs",
-                        "verity_partition": "verity",
-                        "data_partition": "data",
+            parameters={"rootfs_table": build.dm_tables["rootfs"],
+                        "data_table": build.dm_tables["data"],
                         "backdoor": "yes"},
         ).encode()
         deployment.launch_fleet(
@@ -81,6 +80,23 @@ class TestModifiedBootComponents:
         with pytest.raises(AttestationError) as excinfo:
             deployment.sp.provision_fleet([deployment.node_ip(0)])
         assert excinfo.value.reason == "measurement_mismatch"
+
+    def test_initrd_without_dm_tables_halts_boot(self, build):
+        # Storage opens one way: an initrd carrying only per-partition
+        # names (no rootfs/data dm tables) cannot mount anything.
+        deployment = fresh_deployment(build, b"atk-initrd-tables")
+        from repro.core.guest import GuestError
+        from repro.virt.image import InitrdDescriptor
+
+        bare_initrd = InitrdDescriptor(
+            init_steps=("verity-rootfs",),
+            parameters={"rootfs_partition": "rootfs"},
+        ).encode()
+        with pytest.raises(BootFailure, match="rootfs_table") as excinfo:
+            deployment.launch_fleet(
+                attack_for=lambda i: LaunchAttack(replace_initrd=bare_initrd)
+            )
+        assert isinstance(excinfo.value.__cause__, GuestError)
 
     def test_malicious_firmware_fails_attestation(self, build):
         deployment = fresh_deployment(build, b"atk-ovmf")
