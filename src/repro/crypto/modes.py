@@ -4,9 +4,10 @@
 (the exact cipher spec the paper configures in section 6.3.1): each
 sector's tweak is the little-endian sector number encrypted under the
 second key, advancing by multiplication with alpha in GF(2^128) per
-16-byte block.  Tweak chains are vectorised across sectors, so the cost
-of encrypting a volume is a fixed number of numpy passes regardless of
-volume size.
+16-byte block.  Tweak chains are vectorised across sectors and built by
+doubling the known prefix of every chain (block j's tweak is alpha^j
+times block 0's), so a call costs log2(blocks per sector) numpy passes
+plus the AES rounds, regardless of how many sectors it covers.
 
 ``AeadCipher`` is an encrypt-then-MAC AEAD (AES-CTR + HMAC-SHA-256) used
 for sealed storage payloads and TLS records.
@@ -21,7 +22,18 @@ import numpy as np
 
 from .aes import AES, AesError
 
-_XTS_POLY = 0x87  # x^128 + x^7 + x^2 + x + 1 feedback byte
+
+def _times_alpha_pow(limbs: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write ``limbs * alpha**k`` in GF(2^128) into *out*, for 1 <= k <= 64.
+
+    *limbs* is a (..., 2) array of (low, high) little-endian 64-bit
+    halves.  The k bits shifted out past x^127 fold back in through
+    x^128 = x^7 + x^2 + x + 1.  NumPy defines a shift by 64 as zero.
+    """
+    lo, hi = limbs[..., 0], limbs[..., 1]
+    top = hi >> (64 - k)
+    out[..., 0] = (lo << k) ^ top ^ (top << 1) ^ (top << 2) ^ (top << 7)
+    out[..., 1] = (hi << k) ^ (lo >> (64 - k)) ^ (top >> 63) ^ (top >> 62) ^ (top >> 57)
 
 
 class XtsCipher:
@@ -56,23 +68,19 @@ class XtsCipher:
         seed = np.zeros((num_sectors, 16), dtype=np.uint8)
         seed[:, :8] = sectors.astype("<u8").view(np.uint8).reshape(num_sectors, 8)
         initial = self._tweak_cipher.encrypt_state(seed)
-        # Interpret each tweak as two little-endian 64-bit limbs and walk
-        # the alpha-multiplication chain once per block position, for all
-        # sectors simultaneously.
-        limbs = np.ascontiguousarray(initial).view("<u8").reshape(num_sectors, 2)
-        lo = limbs[:, 0].copy()
-        hi = limbs[:, 1].copy()
+        # Each tweak is two little-endian 64-bit limbs, and block j's is
+        # alpha^j times block 0's: double the known prefix of every
+        # sector's chain at once, log2(blocks_per_sector) numpy steps.
         bps = self._blocks_per_sector
-        out = np.empty((num_sectors, bps, 2), dtype="<u8")
-        out[:, 0, 0] = lo
-        out[:, 0, 1] = hi
-        for block_index in range(1, bps):
-            carry = hi >> np.uint64(63)
-            hi = (hi << np.uint64(1)) | (lo >> np.uint64(63))
-            lo = (lo << np.uint64(1)) ^ (carry * np.uint64(_XTS_POLY))
-            out[:, block_index, 0] = lo
-            out[:, block_index, 1] = hi
-        return out.view(np.uint8).reshape(num_sectors * bps, 16)
+        limbs = np.empty((num_sectors, bps, 2), dtype="<u8")
+        limbs[:, 0] = initial.view("<u8")
+        filled = 1
+        while filled < bps:
+            step = min(filled, 64, bps - filled)
+            _times_alpha_pow(limbs[:, filled - step : filled], step,
+                             limbs[:, filled : filled + step])
+            filled += step
+        return limbs.view(np.uint8).reshape(num_sectors * bps, 16)
 
     def _check(self, data: bytes, first_sector: int) -> int:
         if first_sector < 0:

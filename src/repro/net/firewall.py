@@ -13,6 +13,9 @@ from typing import Tuple
 
 SSH_PORT = 22
 
+# Every open firewall shares this one tuple rather than building its own.
+_ALL_PORTS = tuple(range(1, 65536))
+
 
 class ConnectionRefused(ConnectionError):
     """The destination host's firewall dropped the connection."""
@@ -42,7 +45,7 @@ class Firewall:
     @classmethod
     def open_firewall(cls) -> "Firewall":
         """An allow-everything firewall (ordinary, non-Revelio hosts)."""
-        return cls(allowed_inbound_ports=tuple(range(1, 65536)), ssh_enabled=True)
+        return cls(allowed_inbound_ports=_ALL_PORTS, ssh_enabled=True)
 
     @classmethod
     def from_network_policy(cls, policy) -> "Firewall":

@@ -28,6 +28,22 @@ class HttpError(ValueError):
     """Malformed HTTP messages or URLs."""
 
 
+def _decode_fields(data: bytes, kind: str, fields: Dict[str, type]) -> dict:
+    """Decode a TLV message that must be a dict holding every one of
+    *fields* with exactly its type, and string-valued headers."""
+    try:
+        decoded = encoding.decode(data)
+    except ValueError as exc:
+        raise HttpError(f"malformed HTTP {kind}") from exc
+    if (
+        not isinstance(decoded, dict)
+        or any(type(decoded.get(name)) is not kind_ for name, kind_ in fields.items())
+        or not all(isinstance(value, str) for value in decoded["headers"].values())
+    ):
+        raise HttpError(f"malformed HTTP {kind}")
+    return decoded
+
+
 @dataclass
 class HttpRequest:
     """An HTTP request message."""
@@ -50,10 +66,9 @@ class HttpRequest:
     @classmethod
     def decode(cls, data: bytes) -> "HttpRequest":
         """Parse an instance back out of canonical TLV bytes."""
-        try:
-            decoded = encoding.decode(data)
-        except ValueError as exc:
-            raise HttpError("malformed HTTP request") from exc
+        decoded = _decode_fields(
+            data, "request", {"method": str, "path": str, "headers": dict, "body": bytes}
+        )
         return cls(
             method=decoded["method"],
             path=decoded["path"],
@@ -78,10 +93,9 @@ class HttpResponse:
     @classmethod
     def decode(cls, data: bytes) -> "HttpResponse":
         """Parse an instance back out of canonical TLV bytes."""
-        try:
-            decoded = encoding.decode(data)
-        except ValueError as exc:
-            raise HttpError("malformed HTTP response") from exc
+        decoded = _decode_fields(
+            data, "response", {"status": int, "headers": dict, "body": bytes}
+        )
         return cls(
             status=decoded["status"],
             headers=dict(decoded["headers"]),

@@ -1,8 +1,9 @@
 """AES known-answer tests (FIPS-197) and batch consistency checks."""
 
+import numpy as np
 import pytest
 
-from repro.crypto.aes import AES, AesError
+from repro.crypto.aes import _SLICE, AES, AesError
 from repro.crypto.drbg import HmacDrbg
 
 # FIPS-197 appendix C example vectors.
@@ -63,6 +64,28 @@ class TestBatchConsistency:
         cipher = AES(b"k" * 16)
         assert cipher.encrypt_blocks(b"") == b""
         assert cipher.decrypt_blocks(b"") == b""
+
+    @pytest.mark.parametrize("num_blocks", [_SLICE, _SLICE + 1])
+    def test_slice_bound_matches_per_block(self, num_blocks):
+        rng = HmacDrbg(b"aes-slice-%d" % num_blocks)
+        cipher = AES(rng.generate(32))
+        data = rng.generate(16 * num_blocks)
+        batch = cipher.encrypt_blocks(data)
+        singles = b"".join(
+            cipher.encrypt_block(data[i : i + 16]) for i in range(0, len(data), 16)
+        )
+        assert batch == singles
+        assert cipher.decrypt_blocks(batch) == data
+
+    def test_state_api_leaves_input_intact(self):
+        rng = HmacDrbg(b"aes-state")
+        cipher = AES(rng.generate(24))
+        state = np.frombuffer(rng.generate(16 * 5), dtype=np.uint8).reshape(5, 16).copy()
+        before = state.copy()
+        encrypted = cipher.encrypt_state(state)
+        assert np.array_equal(state, before)
+        assert encrypted.tobytes() == cipher.encrypt_blocks(before.tobytes())
+        assert cipher.decrypt_blocks(encrypted.tobytes()) == before.tobytes()
 
 
 class TestErrors:

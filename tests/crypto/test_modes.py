@@ -3,8 +3,12 @@
 The XTS implementation is cross-checked against an independent
 straight-line reference implementation written here with plain Python
 integers, so a bug would have to appear identically in two very
-different codebases to slip through.
+different codebases to slip through.  Known answers that depend on
+neither (IEEE 1619 vectors, and digests of 4 KiB-sector ciphertext
+confirmed against OpenSSL) pin both to the standard.
 """
+
+from hashlib import sha256
 
 import pytest
 
@@ -36,6 +40,41 @@ def _reference_xts_encrypt(key: bytes, sector: int, plaintext: bytes) -> bytes:
     return bytes(out)
 
 
+# IEEE 1619-2007 appendix B vectors 2 and 3: one 32-byte data unit of
+# 0x44 bytes at data unit sequence number 0x3333333333.
+_IEEE_XTS_VECTORS = [
+    ("11" * 16 + "22" * 16,
+     "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0"),
+    ("fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0" + "22" * 16,
+     "af85336b597afc1a900b2eb21ec949d292df4c047e0b21532186a5971a227a89"),
+]
+
+# AES-256-XTS over two 4 KiB sectors: key bytes(range(64)), plaintext
+# bytes(i % 256 for i in range(8192)); SHA-256 of the ciphertext by
+# first sector, as computed by OpenSSL.
+_SECTOR_DIGESTS = [
+    (0, "b73b4b33a4ea9fb409e7af1424425bd497495b63dce7570e5ac7915b5f4d630b"),
+    (2**40 + 3, "fd0be7cd634b54a37e47036b91e93b7b01e165c9945a9fae007f5060987dd7ba"),
+]
+
+
+class TestXtsKnownAnswers:
+    @pytest.mark.parametrize("key_hex,ct_hex", _IEEE_XTS_VECTORS)
+    def test_ieee1619(self, key_hex, ct_hex):
+        xts = XtsCipher(bytes.fromhex(key_hex), sector_size=32)
+        ciphertext = bytes.fromhex(ct_hex)
+        assert xts.encrypt(b"\x44" * 32, 0x3333333333) == ciphertext
+        assert xts.decrypt(ciphertext, 0x3333333333) == b"\x44" * 32
+
+    @pytest.mark.parametrize("first_sector,digest", _SECTOR_DIGESTS)
+    def test_aes256_4k_sectors(self, first_sector, digest):
+        xts = XtsCipher(bytes(range(64)))
+        plaintext = bytes(i % 256 for i in range(8192))
+        ciphertext = xts.encrypt(plaintext, first_sector)
+        assert sha256(ciphertext).hexdigest() == digest
+        assert xts.decrypt(ciphertext, first_sector) == plaintext
+
+
 class TestXts:
     @pytest.fixture
     def rng(self):
@@ -44,14 +83,20 @@ class TestXts:
     @pytest.mark.parametrize("key_size", [32, 64])
     def test_matches_reference(self, rng, key_size):
         key = rng.generate(key_size)
-        xts = XtsCipher(key, sector_size=512)
-        data = rng.generate(512 * 3)
-        got = xts.encrypt(data, first_sector=7)
-        expected = b"".join(
-            _reference_xts_encrypt(key, 7 + i, data[512 * i : 512 * (i + 1)])
-            for i in range(3)
-        )
-        assert got == expected
+        # 3 and 63 blocks per sector are not powers of two, so the tweak
+        # chain's last doubling step is a partial one.
+        for sector_size in (48, 512, 1008):
+            xts = XtsCipher(key, sector_size=sector_size)
+            data = rng.generate(sector_size * 3)
+            got = xts.encrypt(data, first_sector=7)
+            expected = b"".join(
+                _reference_xts_encrypt(
+                    key, 7 + i, data[sector_size * i : sector_size * (i + 1)]
+                )
+                for i in range(3)
+            )
+            assert got == expected
+            assert xts.decrypt(got, first_sector=7) == data
 
     def test_round_trip(self, rng):
         xts = XtsCipher(rng.generate(64))

@@ -69,6 +69,13 @@ class TestFirewall:
         enabled = Firewall(allowed_inbound_ports=(443,), ssh_enabled=True)
         assert enabled.allows_inbound(22)
 
+    def test_open_firewalls_share_one_port_tuple(self):
+        first, second = Firewall.open_firewall(), Firewall.open_firewall()
+        assert first.allowed_inbound_ports is second.allowed_inbound_ports
+        for port, allowed in ((0, False), (1, True), (22, True), (443, True),
+                              (65535, True), (65536, False)):
+            assert first.allows_inbound(port) is allowed
+
     def test_network_enforces_firewall(self):
         net = Network(ZERO_LATENCY)
         vm = net.add_host(

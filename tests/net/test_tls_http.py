@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import encoding
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import PrivateKey
 from repro.crypto.x509 import Name
@@ -15,7 +16,7 @@ from repro.net.http import (
     parse_url,
 )
 from repro.net.latency import ZERO_LATENCY
-from repro.net.simnet import Network
+from repro.net.simnet import Network, RequestContext
 from repro.net.tls import TlsHandshakeError, TlsServer, tls_connect
 from repro.pki.ca import WebPki
 
@@ -241,6 +242,28 @@ class TestMessageCodecs:
             HttpRequest.decode(b"junk")
         with pytest.raises(HttpError):
             HttpResponse.decode(b"junk")
+
+    @pytest.mark.parametrize("value", [
+        [1, 2],
+        7,
+        b"x",
+        {"method": "GET"},
+        {"method": "GET", "path": "/", "headers": 7, "body": b""},
+        {"status": 200, "headers": 7, "body": b""},
+        {"status": 200, "headers": {"h": 1}, "body": b""},
+    ], ids=["list", "int", "bytes", "missing-fields", "request-int-headers",
+            "response-int-headers", "int-header-value"])
+    def test_well_formed_tlv_of_wrong_shape(self, value):
+        payload = encoding.encode(value)
+        with pytest.raises(HttpError):
+            HttpRequest.decode(payload)
+        with pytest.raises(HttpError):
+            HttpResponse.decode(payload)
+        server = HttpServer()
+        server.add_route("GET", "/", lambda req, ctx: HttpResponse.ok(b""))
+        context = RequestContext(Network(ZERO_LATENCY), "10.0.0.2", "10.0.0.1", 80)
+        with pytest.raises(HttpError):
+            server.app(payload, context)
 
     def test_connection_info_no_cert(self):
         info = ConnectionInfo("http", "1.2.3.4")
