@@ -18,7 +18,12 @@ from pathlib import Path
 from repro.amd.kds import KeyDistributionServer
 from repro.amd.policy import REVELIO_POLICY
 from repro.amd.secure_processor import AmdKeyInfrastructure
-from repro.attest import AttestationTracer, AttestationVerifier, VerificationPolicy
+from repro.attest import (
+    AttestationTracer,
+    AttestationVerifier,
+    FamilyPolicy,
+    VerificationPolicy,
+)
 from repro.core.kds_client import KdsClient
 from repro.crypto import ec, sigcache
 from repro.crypto.drbg import HmacDrbg
@@ -58,7 +63,7 @@ def _measure(cache_enabled: bool) -> dict:
         site="bench:cached" if cache_enabled else "bench:cold",
     )
     policy = VerificationPolicy(
-        golden_measurements=(guest.measurement,),
+        families={"sev-snp": FamilyPolicy(golden_measurements=(guest.measurement,))},
         expected_report_data=REPORT_DATA,
         allowed_chip_ids=(chip.chip_id,),
     )

@@ -390,8 +390,9 @@ def phase_mixed_fleet(args, build) -> dict:
         (v.ip_address, v.reason) for v in verdicts if not v.ok
     ]
     family_goldens = {
-        family: policy.golden_measurements
-        for family, policy in fleet.family_policies().items()
+        family: goldens
+        for family, goldens in fleet.goldens().items()
+        if family != "sev-snp"
     }
 
     def extension_setup(extension):

@@ -7,8 +7,9 @@ package makes that one observable pipeline:
 
 * :class:`TeeFamily` / :class:`Evidence` — the TEE vocabulary and the
   tagged envelope the engine dispatches on (SEV-SNP, TDX, CCA, e-vTPM),
-* :class:`VerificationPolicy` — the expectations, declaratively, with
-  per-family :class:`FamilyPolicy` overlays,
+* :class:`VerificationPolicy` — the expectations, declaratively: one
+  :class:`FamilyPolicy` entry per admissible family (SEV-SNP
+  included) holds its measurement expectations,
 * :class:`AttestationVerifier` — the engine: runs the registered
   :mod:`repro.attest.families` step provider for the evidence's family
   as an ordered step list,

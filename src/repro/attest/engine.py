@@ -10,12 +10,12 @@ raising opaquely on the first failure.  Every run is reported to the
 tracing layer (:mod:`repro.attest.trace`).
 
 The step list is family-dispatched: a bare SNP
-:class:`~repro.amd.report.AttestationReport` runs the historical SNP
-pipeline unchanged, while a tagged
-:class:`~repro.attest.evidence.Evidence` envelope is routed to the
-registered :mod:`~repro.attest.families` provider for its TEE family
-(SEV-SNP, TDX, CCA, e-vTPM), after family admissibility and decode
-steps.  One engine, one reason-code taxonomy, four backends.
+:class:`~repro.amd.report.AttestationReport` runs the SNP pipeline,
+while a tagged :class:`~repro.attest.evidence.Evidence` envelope is
+routed to the registered :mod:`~repro.attest.families` provider for
+its TEE family (SEV-SNP, TDX, CCA, e-vTPM) after a decode step.  Both
+start with the family admissibility step whenever the policy names its
+families.  One engine, one reason-code taxonomy, four backends.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class VerificationOutcome:
         return VerifiedReport(
             report=self.report,
             vcek_certificate=self.vcek_certificate,
-            checked_measurement=self.policy.golden_measurements is not None,
+            checked_measurement=self.step(STEP_MEASUREMENT) is not None,
             checked_report_data=self.policy.expected_report_data is not None,
             checked_chip_id=self.policy.allowed_chip_ids is not None,
         )
@@ -228,10 +228,11 @@ class AttestationVerifier:
 
         *report* is either a bare SNP
         :class:`~repro.amd.report.AttestationReport` (the historical
-        call convention — runs the SNP pipeline with no dispatch steps)
-        or an :class:`~repro.attest.evidence.Evidence` envelope, which
-        prepends family admissibility and decode steps before the
-        family provider's own checks.
+        call convention — runs the SNP pipeline) or an
+        :class:`~repro.attest.evidence.Evidence` envelope, which
+        prepends a decode step before the family provider's own
+        checks.  Either way a policy that names its families first
+        checks that the evidence's family has an entry.
 
         *_prepared* is a state dict that :meth:`verify_batch` already
         ran the farm prepare pass over (endorsements fetched, signature
@@ -258,19 +259,10 @@ class AttestationVerifier:
                 records.append(prepare_record)
         if isinstance(report, Evidence):
             family = report.family
-            step_iter = self._dispatched_steps(report, now, policy, state)
         else:
             family = TeeFamily.SEV_SNP
             state["native"] = report
-            provider = provider_for(family)
-            step_iter = provider.steps(
-                report,
-                now,
-                policy,
-                policy.for_family(family),
-                self._context_for(family),
-                state,
-            )
+        step_iter = self._steps(report, family, now, policy, state)
 
         failed = False
         for name, run_check in step_iter:
@@ -336,23 +328,18 @@ class AttestationVerifier:
         pipeline could not be prejudged (unknown/forbidden family,
         undecodable evidence, fetch failure) — the run then proceeds,
         and fails, through the normal steps."""
+        family = (
+            report.family if isinstance(report, Evidence) else TeeFamily.SEV_SNP
+        )
+        provider = provider_for(family)
+        if not policy.family_allowed(family) or provider is None:
+            return []
+        native = report
         if isinstance(report, Evidence):
-            family = report.family
-            if policy.allowed_families is not None and not policy.family_allowed(
-                family
-            ):
-                return []
-            provider = provider_for(family)
-            if provider is None:
-                return []
             try:
                 native = provider.decode(report.body)
             except AttestationError:
                 return []
-        else:
-            family = TeeFamily.SEV_SNP
-            provider = provider_for(family)
-            native = report
         context = self._context_for(family)
         if context is None:
             return []
@@ -426,16 +413,17 @@ class AttestationVerifier:
             for report, policy, state in prepared
         ]
 
-    def _dispatched_steps(
+    def _steps(
         self,
-        evidence: Evidence,
+        report,
+        family: TeeFamily,
         now: int,
         policy: VerificationPolicy,
         state: dict,
     ):
-        """Family dispatch for tagged evidence: admissibility, decode,
-        trust-context lookup, then the provider's own step list."""
-        family = evidence.family
+        """The step list for one run: family admissibility (whenever the
+        policy names its families), then, for tagged evidence, decode
+        and trust-context lookup, then the provider's own steps."""
         provider = provider_for(family)
 
         def family_allowed():
@@ -445,16 +433,18 @@ class AttestationVerifier:
                     f"TEE family {family} is not admissible under this policy",
                 )
 
-        if policy.allowed_families is not None:
+        if policy.families is not None:
             yield STEP_FAMILY_ALLOWED, family_allowed
 
-        def evidence_decode():
-            state["native"] = provider.decode(evidence.body)
+        if isinstance(report, Evidence):
 
-        yield STEP_EVIDENCE_DECODE, evidence_decode
+            def evidence_decode():
+                state["native"] = provider.decode(report.body)
+
+            yield STEP_EVIDENCE_DECODE, evidence_decode
 
         context = self._context_for(family)
-        if context is None:
+        if context is None and isinstance(report, Evidence):
 
             def trust_context():
                 raise AttestationError(

@@ -67,6 +67,12 @@ class Evidence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", family_of(self.family))
+        # Only byte strings: bytes() of an int would allocate that many
+        # zero bytes, of a str or None raise an untyped error.
+        if not isinstance(self.body, (bytes, bytearray)):
+            raise EvidenceError(
+                f"evidence body must be bytes, not {type(self.body).__name__}"
+            )
         object.__setattr__(self, "body", bytes(self.body))
 
     def encode(self) -> bytes:

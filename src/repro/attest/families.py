@@ -262,9 +262,8 @@ class SnpStepProvider(StepProvider):
     """The original PR-2 pipeline, expressed as a step provider.
 
     *context* is the engine's :class:`~repro.core.kds_client.KdsClient`.
-    The step sequence is byte-identical to the historical SNP-only
-    engine for any policy without family overlays; the only addition is
-    a trailing ``family_tcb_floor`` step when a per-family floor is set.
+    The step sequence is the historical SNP-only engine's, plus a
+    trailing ``family_tcb_floor`` step when the SNP entry sets a floor.
     """
 
     family = TeeFamily.SEV_SNP

@@ -10,13 +10,17 @@ captures those expectations as one immutable value that call sites
 construct declaratively instead of threading positional arguments into
 the low-level verifier.
 
-Heterogeneous fleets add a second axis: expectations can differ *per
-TEE family* (an SNP launch digest and a TDX MRTD are never the same
-value).  :class:`FamilyPolicy` carries one family's overlay — golden
-measurements, revocations, a family-native TCB floor, trust anchors —
-and :meth:`VerificationPolicy.for_family` merges it over the global
-single-value fields, so existing SNP-only call sites keep constructing
-the same policies with zero behavior change.
+Measurement expectations are always *per TEE family* (an SNP launch
+digest and a TDX MRTD are never the same value), SEV-SNP included:
+:attr:`VerificationPolicy.families` maps each admissible family to its
+:class:`FamilyPolicy` entry (golden measurements, revocations, a
+family-native TCB floor, trust anchors).  One rule joins them: a
+family's expectations are its entry, and with ``families`` set,
+evidence of a family with no entry fails ``family_not_allowed``.
+``families=None`` means no expectations at all.  What is not
+family-specific stays top-level: the REPORT_DATA binding, the chip-id
+allow-list, the debug switch, and ``minimum_tcb``, the AMD platform
+floor (code ``tcb_too_old``) that any SNP-rooted evidence is held to.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..amd.tcb import TcbVersion
 from ..crypto.x509 import Certificate
+from .evidence import TeeFamily
 
 
 def _frozen_bytes(items: Optional[Iterable[bytes]]) -> Optional[Tuple[bytes, ...]]:
@@ -38,24 +43,25 @@ def _frozen_bytes(items: Optional[Iterable[bytes]]) -> Optional[Tuple[bytes, ...
 class FamilyPolicy:
     """One TEE family's verification expectations.
 
-    Semantics mirror the global fields of :class:`VerificationPolicy`,
-    but the values are family-native: measurements are that family's
-    launch digests (SNP measurement, TDX MRTD, CCA RIM, the vTPM's
-    endorsement measurement) and ``minimum_tcb`` is a
+    The values are family-native: measurements are that family's launch
+    digests (SNP measurement, TDX MRTD, CCA RIM, the vTPM's endorsement
+    measurement) and ``minimum_tcb`` is a
     :class:`~repro.amd.tcb.TcbVersion` for SNP/e-vTPM but a plain SVN
-    integer for TDX and CCA.  A floor violation fails with the
-    family-scoped ``family_tcb_floor`` code, distinct from the legacy
-    SNP ``tcb_too_old``.
+    integer for TDX and CCA (:class:`VerificationPolicy` rejects any
+    other type).  A floor violation fails with the family-scoped
+    ``family_tcb_floor`` code, distinct from the platform-wide
+    ``tcb_too_old``.
     """
 
-    #: Family-native golden measurements; ``None`` falls back to the
-    #: global golden set.
+    #: Golden launch measurements; ``None`` skips the measurement step.
     golden_measurements: Optional[Tuple[bytes, ...]] = None
-    #: Family-scoped revocations, unioned with the global set.
+    #: Measurements revoked after rollouts (section 6.1.4); always
+    #: checked first, so a revoked value loses even if also golden.
     revoked_measurements: Tuple[bytes, ...] = ()
     #: Family-native TCB floor; ``None`` skips the check.
     minimum_tcb: Optional[object] = None
-    #: Family trust anchors; ``None`` falls back to global/default ones.
+    #: Pinned trust anchors; ``None`` uses the family's trust context
+    #: (the KDS client's shipped ARK for SNP and the e-vTPM).
     trust_anchors: Optional[Tuple[Certificate, ...]] = None
 
     def __post_init__(self) -> None:
@@ -76,6 +82,29 @@ class FamilyPolicy:
             return None
         return frozenset(self.golden_measurements) - frozenset(
             self.revoked_measurements
+        )
+
+
+#: Each family's native TCB floor type: SNP and the SNP-endorsed e-vTPM
+#: compare component-wise :class:`~repro.amd.tcb.TcbVersion` values,
+#: TDX and CCA one integer SVN.
+_FLOOR_TYPES = {
+    str(TeeFamily.SEV_SNP): TcbVersion,
+    str(TeeFamily.VTPM): TcbVersion,
+    str(TeeFamily.TDX): int,
+    str(TeeFamily.CCA): int,
+}
+
+
+def check_family_floor(family, floor) -> None:
+    """Raise ``ValueError`` unless *floor* is ``None`` or *family*'s
+    native TCB floor type (a floor of the wrong type would otherwise
+    escape verification as an untyped comparison error)."""
+    wanted = _FLOOR_TYPES.get(str(family), object)
+    if floor is not None and not isinstance(floor, wanted):
+        raise ValueError(
+            f"TCB floor for family {family} must be of type {wanted.__name__}, "
+            f"not {type(floor).__name__}"
         )
 
 
@@ -88,41 +117,24 @@ class VerificationPolicy:
     not appear in the outcome's step records).
     """
 
-    #: Acceptable launch measurements; ``None`` skips the check.
-    golden_measurements: Optional[Tuple[bytes, ...]] = None
-    #: Measurements revoked after rollouts (section 6.1.4); always
-    #: checked first, so a revoked value loses even if also golden.
-    revoked_measurements: Tuple[bytes, ...] = ()
     #: Exact REPORT_DATA binding (64 bytes); ``None`` skips the check.
     expected_report_data: Optional[bytes] = None
     #: Chip-id allow-list; ``None`` skips the check.
     allowed_chip_ids: Optional[Tuple[bytes, ...]] = None
-    #: Component-wise TCB floor; ``None`` skips the check.
+    #: The AMD platform TCB floor (component-wise, code
+    #: ``tcb_too_old``) for SNP-rooted evidence; ``None`` skips it.
     minimum_tcb: Optional[TcbVersion] = None
     #: Accept debug-enabled guests (never set in production).
     allow_debug: bool = False
-    #: Override the pinned trust anchors (defaults to the KDS client's
-    #: shipped ARK); used by tests to cross-examine hierarchies.
-    trust_anchors: Optional[Tuple[Certificate, ...]] = None
-    #: TEE families acceptable to this verifier ("sev-snp", "tdx",
-    #: "arm-cca", "e-vtpm"); ``None`` accepts any family the verifier
-    #: has trust material for, non-membership fails ``family_allowed``
-    #: with the ``family_not_allowed`` code.
-    allowed_families: Optional[Tuple[str, ...]] = None
-    #: Per-family expectation overlays, keyed by family name.  Stored
-    #: as a sorted tuple of (name, :class:`FamilyPolicy`) pairs so the
-    #: policy value stays hashable.
+    #: Family name -> that family's :class:`FamilyPolicy`, the only
+    #: home of measurement expectations.  ``None`` means no
+    #: expectations for any family; otherwise evidence of a family with
+    #: no entry fails ``family_allowed`` with ``family_not_allowed``.
+    #: Stored as a sorted tuple of (name, entry) pairs so the policy
+    #: value stays hashable.
     families: Optional[Mapping[str, "FamilyPolicy"]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "golden_measurements", _frozen_bytes(self.golden_measurements)
-        )
-        object.__setattr__(
-            self,
-            "revoked_measurements",
-            _frozen_bytes(self.revoked_measurements) or (),
-        )
         object.__setattr__(
             self, "allowed_chip_ids", _frozen_bytes(self.allowed_chip_ids)
         )
@@ -130,88 +142,25 @@ class VerificationPolicy:
             object.__setattr__(
                 self, "expected_report_data", bytes(self.expected_report_data)
             )
-        if self.trust_anchors is not None:
-            object.__setattr__(self, "trust_anchors", tuple(self.trust_anchors))
-        if self.allowed_families is not None:
-            object.__setattr__(
-                self,
-                "allowed_families",
-                tuple(str(family) for family in self.allowed_families),
-            )
         if self.families is not None:
             items = (
                 self.families.items()
                 if isinstance(self.families, Mapping)
                 else self.families
             )
-            object.__setattr__(
-                self,
-                "families",
-                tuple(sorted((str(key), value) for key, value in items)),
-            )
-
-    def effective_golden(self) -> Optional[FrozenSet[bytes]]:
-        """The golden set minus revocations (``None`` if unchecked)."""
-        if self.golden_measurements is None:
-            return None
-        return frozenset(self.golden_measurements) - frozenset(
-            self.revoked_measurements
-        )
-
-    # -- per-family resolution -------------------------------------------------
+            entries = tuple(sorted((str(key), value) for key, value in items))
+            for family, entry in entries:
+                check_family_floor(family, entry.minimum_tcb)
+            object.__setattr__(self, "families", entries)
 
     def family_allowed(self, family) -> bool:
         """Is evidence of *family* admissible under this policy?"""
-        if self.allowed_families is None:
-            return True
-        return str(family) in self.allowed_families
-
-    def family_policy(self, family) -> "FamilyPolicy":
-        """The raw overlay for *family* (an empty one when unset)."""
-        if self.families is not None:
-            wanted = str(family)
-            for key, value in self.families:
-                if key == wanted:
-                    return value
-        return _EMPTY_FAMILY_POLICY
+        return self.families is None or str(family) in dict(self.families)
 
     def for_family(self, family) -> "FamilyPolicy":
-        """The overlay for *family* merged over the global fields.
-
-        Golden measurements and trust anchors fall back to the global
-        values when the overlay leaves them unset; revocations are the
-        union of both sets; the family TCB floor comes from the overlay
-        alone (the global ``minimum_tcb`` is the SNP-native legacy
-        floor and keeps its own ``tcb_floor`` step).  With no overlays
-        configured the result reproduces the global single-value policy
-        exactly.
-        """
-        overlay = self.family_policy(family)
-        golden = (
-            overlay.golden_measurements
-            if overlay.golden_measurements is not None
-            else self.golden_measurements
-        )
-        if overlay.revoked_measurements:
-            revoked = tuple(
-                sorted(
-                    set(self.revoked_measurements)
-                    | set(overlay.revoked_measurements)
-                )
-            )
-        else:
-            revoked = self.revoked_measurements
-        anchors = (
-            overlay.trust_anchors
-            if overlay.trust_anchors is not None
-            else self.trust_anchors
-        )
-        return FamilyPolicy(
-            golden_measurements=golden,
-            revoked_measurements=revoked,
-            minimum_tcb=overlay.minimum_tcb,
-            trust_anchors=anchors,
-        )
+        """*family*'s entry (an empty one, checking nothing, when the
+        policy has none)."""
+        return dict(self.families or ()).get(str(family), _EMPTY_FAMILY_POLICY)
 
 
 _EMPTY_FAMILY_POLICY = FamilyPolicy()

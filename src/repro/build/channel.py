@@ -15,8 +15,8 @@ the transport.  This module makes the channel itself attestation-grade:
   (``stale_epoch`` kills rollback replays), then the base chain —
   the manifest's base measurement must equal the node's installed
   measurement *and* sit in the ``repro.attest`` policy's effective
-  golden set, so every accepted update is reachable from a golden the
-  verifier already trusts;
+  SEV-SNP golden set, so every accepted update is reachable from a
+  golden the verifier already trusts;
 * :class:`UpdateClient` drives gate → blob integrity → delta apply
   (:func:`repro.build.delta.apply_delta`, which re-roots and replays
   the signed target measurement) and only then advances its epoch.
@@ -33,6 +33,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..attest.evidence import TeeFamily
 from ..attest.trace import get_tracer
 from ..crypto import encoding
 from ..crypto.keys import PrivateKey, PublicKey
@@ -269,8 +270,9 @@ def verify_manifest(
     *trusted_key*; epoch monotonicity against *last_epoch*; and the
     base chain — the manifest's base measurement must equal the node's
     installed measurement (when given) and be in the *policy*'s
-    effective golden set (when given), i.e. the update departs from a
-    measurement the ``repro.attest`` verifier already trusts.
+    effective SEV-SNP golden set (when given; a policy with no SEV-SNP
+    entry trusts no base), i.e. the update departs from a measurement
+    the ``repro.attest`` verifier already trusts.
 
     Returns the verified manifest; raises a typed, counted
     :class:`ChannelError` otherwise.
@@ -299,8 +301,11 @@ def verify_manifest(
             tracer,
         )
     if policy is not None:
-        golden = policy.effective_golden()
-        if golden is not None and manifest.base_measurement not in golden:
+        snp = str(TeeFamily.SEV_SNP)
+        golden = policy.for_family(snp).effective_golden()
+        if not policy.family_allowed(snp) or (
+            golden is not None and manifest.base_measurement not in golden
+        ):
             raise _reject(
                 "base_mismatch",
                 "manifest base measurement is not in the trusted golden set",

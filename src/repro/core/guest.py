@@ -437,11 +437,11 @@ def decode_attestation_evidence(body: bytes) -> Evidence:
     except ValueError as exc:
         raise GuestError("malformed attestation payload") from exc
     if isinstance(decoded, dict):
-        if "report" in decoded:
-            return Evidence(TeeFamily.SEV_SNP, decoded["report"])
-        if "family" in decoded and "body" in decoded:
-            try:
+        try:
+            if "report" in decoded:
+                return Evidence(TeeFamily.SEV_SNP, decoded["report"])
+            if "family" in decoded and "body" in decoded:
                 return Evidence(decoded["family"], decoded["body"])
-            except EvidenceError as exc:
-                raise GuestError(f"malformed attestation payload: {exc}") from exc
+        except EvidenceError as exc:
+            raise GuestError(f"malformed attestation payload: {exc}") from exc
     raise GuestError("malformed attestation payload")

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from ..amd.report import AttestationReport
 from ..amd.tcb import TcbVersion
 from ..amd.verify import VerifiedReport
-from ..attest import AttestationVerifier, VerificationPolicy
+from ..attest import AttestationVerifier, FamilyPolicy, TeeFamily, VerificationPolicy
 from ..crypto import encoding
 from ..crypto.drbg import HmacDrbg
 from ..crypto.ec import P256
@@ -87,11 +87,18 @@ def bundle_policy(
     expected_measurements: Iterable[bytes],
     allowed_chip_ids: Optional[Iterable[bytes]] = None,
     minimum_tcb: Optional[TcbVersion] = None,
+    revoked_measurements: Iterable[bytes] = (),
 ) -> VerificationPolicy:
-    """The pipeline policy a bundle must satisfy: golden set, the
-    REPORT_DATA = H(payload) binding, and any platform constraints."""
+    """The pipeline policy a bundle must satisfy: golden set (minus
+    any revoked values), the REPORT_DATA = H(payload) binding, and any
+    platform constraints."""
     return VerificationPolicy(
-        golden_measurements=expected_measurements,
+        families={
+            str(TeeFamily.SEV_SNP): FamilyPolicy(
+                golden_measurements=expected_measurements,
+                revoked_measurements=revoked_measurements,
+            )
+        },
         expected_report_data=report_data_for(bundle.payload_digest()),
         allowed_chip_ids=allowed_chip_ids,
         minimum_tcb=minimum_tcb,

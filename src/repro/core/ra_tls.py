@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from ..amd.report import AttestationReport
 from ..amd.tcb import TcbVersion
-from ..attest import AttestationVerifier, VerificationPolicy
+from ..attest import AttestationVerifier, FamilyPolicy, TeeFamily, VerificationPolicy
 from ..crypto.drbg import HmacDrbg
 from ..crypto.keys import PrivateKey
 from ..crypto.x509 import Certificate, Name
@@ -126,7 +126,11 @@ def validate_ra_tls_certificate(
     if verifier is None:
         verifier = AttestationVerifier(kds, site="ra_tls")
     policy = VerificationPolicy(
-        golden_measurements=expected_measurements,
+        families={
+            str(TeeFamily.SEV_SNP): FamilyPolicy(
+                golden_measurements=expected_measurements
+            )
+        },
         expected_report_data=report_data_for(
             certificate.public_key.fingerprint()
         ),

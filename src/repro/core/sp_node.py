@@ -20,7 +20,7 @@ paper does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..amd.verify import AttestationError
@@ -124,13 +124,11 @@ class ServiceProviderNode:
             raise AttestationError(
                 "ip_not_allowed", f"{node_ip} is not an approved node address"
             )
-        policy = replace(
-            bundle_policy(
-                bundle,
-                self.expected_measurements,
-                allowed_chip_ids=self.approved_chip_ids,
-            ),
-            revoked_measurements=tuple(sorted(self.revoked_measurements)),
+        policy = bundle_policy(
+            bundle,
+            self.expected_measurements,
+            allowed_chip_ids=self.approved_chip_ids,
+            revoked_measurements=sorted(self.revoked_measurements),
         )
         self.verifier.verify_or_raise(
             bundle.report,

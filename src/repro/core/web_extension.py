@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..amd.tcb import TcbVersion
-from ..attest import AttestationVerifier, FamilyPolicy, VerificationPolicy
+from ..attest import AttestationVerifier, FamilyPolicy, TeeFamily, VerificationPolicy
 from ..net.http import HttpError
 from .guest import WELL_KNOWN_ATTESTATION_PATH, decode_attestation_evidence
 from .kds_client import KdsClient
@@ -58,12 +58,9 @@ class SiteRegistration:
     minimum_tcb: Optional[TcbVersion] = None
     #: Per-TEE-family golden sets for sites served by a heterogeneous
     #: fleet (family name -> measurements); ``expected_measurements``
-    #: stays the SNP-and-fallback set.
+    #: are SEV-SNP's.  Evidence of a family with no goldens here is
+    #: not accepted.
     family_measurements: Dict[str, Set[bytes]] = field(default_factory=dict)
-    #: Families the user accepts evidence from; None = any family the
-    #: extension can verify (with per-family goldens registered, the
-    #: default closes to exactly those families).
-    allowed_families: Optional[Set[str]] = None
 
 
 @dataclass
@@ -143,13 +140,11 @@ class RevelioExtension:
         use_registry: bool = False,
         minimum_tcb: Optional[TcbVersion] = None,
         family_measurements=None,
-        allowed_families=None,
     ) -> None:
-        """Manual registration with expected measurement(s); the secure
-        path for security-sensitive sites.  *family_measurements* maps a
-        TEE family name to that family's golden set (heterogeneous
-        fleets); *allowed_families* restricts which families' evidence
-        is acceptable at all."""
+        """Manual registration with expected (SEV-SNP) measurement(s);
+        the secure path for security-sensitive sites.
+        *family_measurements* maps a TEE family name to that family's
+        golden set (heterogeneous fleets)."""
         domain = domain.lower()
         registration = self._sites.get(domain)
         if registration is None:
@@ -165,10 +160,6 @@ class RevelioExtension:
             registration.family_measurements.setdefault(
                 str(family), set()
             ).update(bytes(m) for m in values)
-        if allowed_families is not None:
-            registration.allowed_families = {
-                str(family) for family in allowed_families
-            }
 
     def is_registered(self, domain: str) -> bool:
         """Whether the domain is registered with the extension."""
@@ -229,13 +220,26 @@ class RevelioExtension:
     # -- the attestation procedure -------------------------------------------------
 
     def _attest_site(self, browser, domain: str, registration) -> Verdict:
-        golden = set(registration.expected_measurements)
+        snp = str(TeeFamily.SEV_SNP)
+        families = {
+            family: FamilyPolicy(golden_measurements=sorted(values))
+            for family, values in registration.family_measurements.items()
+            if family != snp
+        }
+        golden = registration.expected_measurements | (
+            registration.family_measurements.get(snp, set())
+        )
         revoked: Set[bytes] = set()
         if registration.use_registry and self.trusted_registry is not None:
             golden |= set(self.trusted_registry.golden_measurements(domain))
             revoked = set(self.trusted_registry.revoked_measurements(domain))
         golden -= revoked
-        if not golden and not registration.family_measurements:
+        if golden:
+            families[snp] = FamilyPolicy(
+                golden_measurements=sorted(golden),
+                revoked_measurements=sorted(revoked),
+            )
+        if not families:
             return self._violation(
                 domain,
                 "no (unrevoked) golden measurement known",
@@ -279,28 +283,9 @@ class RevelioExtension:
         #    set, the TLS-key REPORT_DATA binding (the key
         #    authenticating the very connection we fetched the evidence
         #    over), and the TCB floor — dispatched on evidence family.
-        families = None
-        if registration.family_measurements:
-            families = {
-                family: FamilyPolicy(golden_measurements=sorted(values))
-                for family, values in sorted(
-                    registration.family_measurements.items()
-                )
-            }
-        allowed = registration.allowed_families
-        if allowed is None and not golden and families is not None:
-            # Per-family goldens only: fail closed to exactly those
-            # families (an SNP report must not slip past an empty
-            # global golden set).
-            allowed = set(families)
         policy = VerificationPolicy(
-            golden_measurements=sorted(golden),
-            revoked_measurements=sorted(revoked),
             expected_report_data=report_data_for(fingerprint),
             minimum_tcb=registration.minimum_tcb or self.minimum_tcb,
-            allowed_families=(
-                None if allowed is None else tuple(sorted(allowed))
-            ),
             families=families,
         )
         outcome = self.verifier.verify(

@@ -26,9 +26,10 @@ extensions must know both goldens to ride through without disruption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
+from ..attest import TeeFamily
 from ..core.deployment import AppFactory, default_app
 from ..core.rollout import RolloutError, replace_node, update_golden_set
 from ..core.trusted_registry import StaticRegistry
@@ -138,16 +139,20 @@ def rolling_rollout(
         deployed.node.trusted_registry = registry
     if new_measurement not in deployment.sp.expected_measurements:
         deployment.sp.expected_measurements.append(new_measurement)
-    gateway.golden_measurements = sorted({old_measurement, new_measurement})
+    snp = str(TeeFamily.SEV_SNP)
+    gateway.families[snp] = replace(
+        gateway.families[snp],
+        golden_measurements=sorted({old_measurement, new_measurement}),
+    )
 
-    allowed_families = (
+    rolled_families = (
         None if families is None else {str(family) for family in families}
     )
     for index in range(len(deployment.nodes)):
         ip_address = deployment.nodes[index].host.ip_address
-        if allowed_families is not None:
+        if rolled_families is not None:
             backend = gateway.backends.get(ip_address)
-            if backend is None or backend.family not in allowed_families:
+            if backend is None or backend.family not in rolled_families:
                 continue
         node_started = clock.now
         rounds = yield from drain_backend(
@@ -179,9 +184,13 @@ def rolling_rollout(
     # old measurement everywhere (section 6.1.4 rollback prevention).
     update_golden_set(deployment, old_measurement, new_measurement)
     deployment.build = new_build
-    gateway.golden_measurements = [new_measurement]
-    gateway.revoked_measurements = sorted(
-        {*gateway.revoked_measurements, old_measurement}
+    entry = gateway.families[snp]
+    gateway.families[snp] = replace(
+        entry,
+        golden_measurements=[new_measurement],
+        revoked_measurements=sorted(
+            {*entry.revoked_measurements, old_measurement}
+        ),
     )
     report.finished_at = clock.now
     return report

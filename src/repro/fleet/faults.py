@@ -42,8 +42,6 @@ from ..storage.dm import DelayTarget
 from ..storage.partition import PartitionTable
 from .gateway import FleetGateway
 
-_MISSING = object()
-
 
 class FaultHandle:
     """A revertible fault: ``revert()`` undoes the injection once."""
@@ -203,12 +201,12 @@ def revoke_family(gateway: FleetGateway, family,
     family is admissible again, but each evicted backend still needs a
     re-registration + passing re-attestation to serve."""
     family = str(family)
-    already_revoked = family in gateway.revoked_families
+    entry = gateway.families.get(family)
     gateway.revoke_family(family, reason=reason)
 
     def restore():
-        if not already_revoked:
-            gateway.revoked_families.discard(family)
+        if entry is not None:
+            gateway.families[family] = entry
 
     return FaultHandle(f"revoke_family:{family}", restore)
 
@@ -220,14 +218,11 @@ def raise_family_tcb_floor(gateway: FleetGateway, family,
     the family-scoped ``family_tcb_floor``.  ``revert()`` lowers the
     floor back to its previous value (or removes it)."""
     family = str(family)
-    previous = gateway.family_tcb_floors.get(family, _MISSING)
+    previous = gateway.families[family].minimum_tcb
     gateway.set_family_tcb_floor(family, minimum_tcb)
 
     def restore():
-        if previous is _MISSING:
-            gateway.family_tcb_floors.pop(family, None)
-        else:
-            gateway.family_tcb_floors[family] = previous
+        gateway.set_family_tcb_floor(family, previous)
 
     return FaultHandle(f"raise_family_tcb_floor:{family}", restore)
 

@@ -20,8 +20,8 @@ severed, and clients transparently re-handshake onto a healthy peer
 
 The fleet may be **heterogeneous**: every backend is registered with
 its TEE family (SEV-SNP, TDX, CCA, e-vTPM), probes run through the
-family-dispatched pipeline against per-family
-:class:`~repro.attest.FamilyPolicy` overlays, and sessions are
+family-dispatched pipeline against the gateway's per-family
+:class:`~repro.attest.FamilyPolicy` entries, and sessions are
 **tier-routed** — the cleartext ``tier`` tag in the client hello picks
 which families may serve the session (``tier_families``; e.g.
 high-sensitivity sessions only land on SNP or SNP-endorsed e-vTPM
@@ -37,12 +37,12 @@ from dataclasses import dataclass, replace as dataclass_replace
 from typing import Dict, List, Optional, Tuple
 
 from ..attest import (
-    ALL_FAMILIES,
     AttestationVerifier,
     FamilyPolicy,
     TeeFamily,
     VerificationPolicy,
 )
+from ..attest.policy import check_family_floor
 from ..core.guest import WELL_KNOWN_ATTESTATION_PATH, decode_attestation_evidence
 from ..core.key_sharing import report_data_for
 from ..crypto import encoding
@@ -145,8 +145,7 @@ class FleetGateway:
         domain: str,
         kds,
         trust_anchors,
-        golden_measurements,
-        revoked_measurements=(),
+        families,
         minimum_tcb=None,
         rng=None,
         balancer: str = "round_robin",
@@ -154,8 +153,6 @@ class FleetGateway:
         max_retries: int = 3,
         kernel=None,
         name: str = "fleet-gateway",
-        family_policies=None,
-        allowed_families=None,
         tier_families=None,
         default_tier: str = "bulk",
         contexts=None,
@@ -168,31 +165,19 @@ class FleetGateway:
         self.domain = domain
         self.kds = kds
         self.trust_anchors = list(trust_anchors)
-        self.golden_measurements = sorted(bytes(m) for m in golden_measurements)
-        self.revoked_measurements = sorted(bytes(m) for m in revoked_measurements)
+        #: Family name -> :class:`FamilyPolicy`: goldens, revocations,
+        #: family TCB floor and anchors of every admissible family.  A
+        #: family without an entry fails admission ``family_not_allowed``.
+        self.families: Dict[str, FamilyPolicy] = {
+            str(family): entry for family, entry in families.items()
+        }
+        #: The AMD platform TCB floor (``tcb_too_old``).
         self.minimum_tcb = minimum_tcb
         self._rng = rng
         self.balancer = balancer
         self.verdict_ttl = verdict_ttl
         self.max_retries = max_retries
         self.kernel = kernel
-        #: Per-family :class:`FamilyPolicy` overlays (goldens, anchors,
-        #: family TCB floors) merged into every admission policy.
-        self.family_policies: Dict[str, FamilyPolicy] = {
-            str(family): overlay
-            for family, overlay in (family_policies or {}).items()
-        }
-        #: ``None`` = any registered family; otherwise the admissible set.
-        self.allowed_families = (
-            None
-            if allowed_families is None
-            else {str(family) for family in allowed_families}
-        )
-        #: Families revoked fleet-wide (subtracted from the admissible
-        #: set; re-attestation of their backends fails closed).
-        self.revoked_families: set = set()
-        #: Per-family TCB floors overlaid onto admission policies.
-        self.family_tcb_floors: Dict[str, object] = {}
         if tier_families is None:
             tier_families = {
                 "high": (str(TeeFamily.SEV_SNP), str(TeeFamily.VTPM)),
@@ -252,7 +237,11 @@ class FleetGateway:
             domain=deployment.domain,
             kds=deployment._new_kds_client(),
             trust_anchors=[deployment.web_pki.trust_anchor],
-            golden_measurements=[deployment.build.expected_measurement],
+            families={
+                str(TeeFamily.SEV_SNP): FamilyPolicy(
+                    golden_measurements=[deployment.build.expected_measurement]
+                )
+            },
             rng=deployment.rng.fork(b"fleet-gateway"),
             kernel=kernel,
             **kwargs,
@@ -290,32 +279,14 @@ class FleetGateway:
         return backend
 
     def _admission_policy(self, connection) -> VerificationPolicy:
-        """The policy for one probe: the global (SNP-legacy) fields plus
-        the per-family overlays, family TCB floors, and the admissible
-        family set after fleet-wide revocations."""
-        families = dict(self.family_policies)
-        for family, floor in self.family_tcb_floors.items():
-            base = families.get(family, FamilyPolicy())
-            families[family] = dataclass_replace(base, minimum_tcb=floor)
-        allowed = self.allowed_families
-        if self.revoked_families:
-            base_allowed = (
-                allowed
-                if allowed is not None
-                else {str(family) for family in ALL_FAMILIES}
-            )
-            allowed = base_allowed - self.revoked_families
+        """The policy for one probe: the family entries, the platform
+        TCB floor, and the probed connection's key binding."""
         return VerificationPolicy(
-            golden_measurements=tuple(self.golden_measurements),
-            revoked_measurements=tuple(self.revoked_measurements),
             expected_report_data=report_data_for(
                 connection.peer_public_key.fingerprint()
             ),
             minimum_tcb=self.minimum_tcb,
-            allowed_families=(
-                None if allowed is None else tuple(sorted(allowed))
-            ),
-            families=families or None,
+            families=self.families,
         )
 
     def _probe_evidence(self, ip_address: str):
@@ -490,8 +461,8 @@ class FleetGateway:
 
         * the backend is registered here under the same family,
         * its age is within ``min(verdict_ttl, max_staleness)``,
-        * the family is admissible under *this* gateway's policy
-          (not revoked, inside ``allowed_families``), and
+        * the family is admissible under *this* gateway's policy (it
+          has an entry, so it is not revoked), and
         * it is newer than the verdict this gateway already holds.
 
         Passing records admit pending backends (one re-attestation
@@ -509,10 +480,7 @@ class FleetGateway:
         if age < 0 or age > min(self.verdict_ttl, max_staleness):
             self._count("gossip.rejected.stale")
             return False
-        if record.family in self.revoked_families or (
-            self.allowed_families is not None
-            and record.family not in self.allowed_families
-        ):
+        if record.family not in self.families:
             self._count("gossip.rejected.family_not_allowed")
             return False
         if (
@@ -557,12 +525,12 @@ class FleetGateway:
 
     def revoke_family(self, family, reason: str = "family_not_allowed") -> None:
         """Fleet-wide family revocation (e.g. an architectural break
-        disclosed for one vendor's TEE): remove *family* from the
-        admissible set — its backends fail re-attestation with
-        ``family_not_allowed`` from now on — and evict every active
-        backend of that family immediately."""
+        disclosed for one vendor's TEE): drop *family*'s entry — its
+        backends fail re-attestation with ``family_not_allowed`` from
+        now on — and evict every active backend of that family
+        immediately."""
         family = str(family)
-        self.revoked_families.add(family)
+        self.families.pop(family, None)
         for ip_address in sorted(self._backends):
             backend = self._backends[ip_address]
             if backend.family == family and backend.active():
@@ -571,10 +539,16 @@ class FleetGateway:
                 )
 
     def set_family_tcb_floor(self, family, minimum_tcb) -> None:
-        """Mandate a per-family TCB floor; backends of *family* whose
-        platform TCB is older fail their next re-attestation with the
-        family-scoped ``family_tcb_floor`` code."""
-        self.family_tcb_floors[str(family)] = minimum_tcb
+        """Set *family*'s TCB floor (``None`` lifts it); backends of
+        *family* whose platform TCB is older fail their next
+        re-attestation with the family-scoped ``family_tcb_floor`` code.
+        The floor must be the family's native type (``ValueError``),
+        and the family must have an entry (``KeyError``)."""
+        family = str(family)
+        check_family_floor(family, minimum_tcb)
+        self.families[family] = dataclass_replace(
+            self.families[family], minimum_tcb=minimum_tcb
+        )
 
     def mark_draining(self, ip_address: str) -> None:
         """No new sessions; existing sessions keep being served."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dataclass_replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..amd.policy import GuestPolicy
@@ -216,6 +216,8 @@ class LiteFleet:
         self._servers: Dict[str, HttpServer] = {}
         #: Golden launch measurements, keyed by family.
         self._goldens: Dict[str, Set[bytes]] = {}
+        #: (gateway name, family) pairs :meth:`configure` has written.
+        self._taught: Set[Tuple[str, str]] = set()
         self._launches = 0
 
     # -- backends ----------------------------------------------------
@@ -392,19 +394,11 @@ class LiteFleet:
 
     # -- gateway wiring ---------------------------------------------
 
-    def snp_goldens(self) -> List[bytes]:
-        """SNP launch measurements, to merge into the gateways' *global*
-        golden set (next to the deployment build's), so the family
-        overlay never shadows the real SNP nodes."""
-        return sorted(self._goldens.get(str(TeeFamily.SEV_SNP), ()))
-
-    def family_policies(self) -> Dict[str, FamilyPolicy]:
-        """Golden overlays for the non-SNP families only (SNP goldens
-        ride the global set; see :meth:`snp_goldens`)."""
+    def goldens(self) -> Dict[str, List[bytes]]:
+        """This fleet's golden launch measurements, keyed by family."""
         return {
-            family: FamilyPolicy(golden_measurements=sorted(goldens))
+            family: sorted(goldens)
             for family, goldens in sorted(self._goldens.items())
-            if family != str(TeeFamily.SEV_SNP)
         }
 
     def contexts(self) -> Dict[str, object]:
@@ -419,14 +413,27 @@ class LiteFleet:
         }
 
     def configure(self, gateway: FleetGateway) -> None:
-        """Teach *gateway* this fleet's families: the trust contexts,
-        the per-family golden overlays, and the SNP goldens merged into
-        its global set.  Idempotent; call again after goldens change."""
+        """Teach *gateway* this fleet's families: the trust contexts and
+        each family's goldens in its entry (other entry fields kept).
+        The SNP entry is shared with the deployment's own nodes, so
+        this fleet's SNP goldens are added to the gateway's; every other
+        family's goldens are this fleet's.  Idempotent; call again
+        after goldens change.  A family taught here once and revoked
+        since (its entry dropped) is never re-admitted by a later call."""
         gateway.verifier.contexts.update(self.contexts())
-        gateway.family_policies.update(self.family_policies())
-        gateway.golden_measurements = sorted(
-            {*gateway.golden_measurements, *self.snp_goldens()}
-        )
+        snp = str(TeeFamily.SEV_SNP)
+        for family, goldens in self.goldens().items():
+            entry = gateway.families.get(family)
+            if entry is None:
+                if (gateway.name, family) in self._taught:
+                    continue
+                entry = FamilyPolicy()
+            self._taught.add((gateway.name, family))
+            if family == snp:
+                goldens = sorted({*(entry.golden_measurements or ()), *goldens})
+            gateway.families[family] = dataclass_replace(
+                entry, golden_measurements=goldens
+            )
 
     def attach_gateway(self, gateway: FleetGateway) -> List[AdmissionVerdict]:
         """Single-gateway bring-up: configure *gateway*, register every
@@ -512,7 +519,11 @@ class GatewayMesh:
                 domain=deployment.domain,
                 kds=deployment._new_kds_client(),
                 trust_anchors=[deployment.web_pki.trust_anchor],
-                golden_measurements=goldens,
+                families={
+                    str(TeeFamily.SEV_SNP): FamilyPolicy(
+                        golden_measurements=goldens
+                    )
+                },
                 rng=deployment.rng.fork(b"mesh-gateway:" + name.encode()),
                 kernel=kernel,
                 name=name,

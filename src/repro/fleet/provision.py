@@ -38,7 +38,7 @@ via signed-manifest epochs", operationally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional
 
@@ -263,14 +263,19 @@ class FleetProvisioner:
             deployed.node.trusted_registry = registry
         if new_measurement not in deployment.sp.expected_measurements:
             deployment.sp.expected_measurements.append(new_measurement)
+        snp = str(TeeFamily.SEV_SNP)
         gateways = [mesh.gateways[name] for name in sorted(mesh.gateways)]
         for gateway in gateways:
-            gateway.golden_measurements = sorted(
-                {*gateway.golden_measurements, new_measurement}
+            entry = gateway.families[snp]
+            gateway.families[snp] = replace(
+                entry,
+                golden_measurements=sorted(
+                    {*entry.golden_measurements, new_measurement}
+                ),
             )
 
         lite = self.lite_fleet
-        old_snp_goldens = set(lite.snp_goldens()) if lite is not None else set()
+        old_goldens = lite.goldens() if lite is not None else {}
         retired_requests_before = self._retired_requests()
 
         update_regions = regions
@@ -283,7 +288,6 @@ class FleetProvisioner:
                 update_regions.append(None)
 
         # -- deliver / apply / re-attest / admit, region-serial ------
-        snp = str(TeeFamily.SEV_SNP)
         for region in update_regions:
             entry = plan.get(region)
             if entry is None:
@@ -347,15 +351,25 @@ class FleetProvisioner:
         # -- finalize: revoke the old world --------------------------
         update_golden_set(deployment, old_measurement, new_measurement)
         deployment.build = target_build
-        revoked = {old_measurement}
+        # Every family revokes the goldens no backend runs any more.
+        retired = {snp: {old_measurement}}
         if lite is not None:
             lite.retire_unused_goldens()
-            revoked |= old_snp_goldens - set(lite.snp_goldens())
+            live = lite.goldens()
+            for family, goldens in old_goldens.items():
+                gone = set(goldens) - set(live.get(family, ()))
+                retired[family] = retired.get(family, set()) | gone
         for gateway in gateways:
-            gateway.golden_measurements = [new_measurement]
-            gateway.revoked_measurements = sorted(
-                {*gateway.revoked_measurements, *revoked}
+            gateway.families[snp] = replace(
+                gateway.families[snp], golden_measurements=[new_measurement]
             )
+            for family, gone in retired.items():
+                entry = gateway.families.get(family)
+                if entry is not None and gone:
+                    revoked = sorted({*entry.revoked_measurements, *gone})
+                    gateway.families[family] = replace(
+                        entry, revoked_measurements=revoked
+                    )
             if lite is not None:
                 lite.configure(gateway)
 

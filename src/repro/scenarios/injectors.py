@@ -308,11 +308,15 @@ class FamilyFloor(Injection):
 
     def inject(self) -> None:
         self._ip = self._victim_ip()
-        floor = self.params.get("floor", (255, 255, 255, 255))
+        family = self.params.get("family", str(TeeFamily.SEV_SNP))
+        # The family's native floor: a TcbVersion for SNP and the
+        # e-vTPM, one SVN for TDX and CCA.
+        if family in (str(TeeFamily.SEV_SNP), str(TeeFamily.VTPM)):
+            floor = TcbVersion(*self.params.get("floor", (255, 255, 255, 255)))
+        else:
+            floor = int(self.params.get("floor", 255))
         self._handle = faults.raise_family_tcb_floor(
-            self.world.gateway,
-            self.params.get("family", str(TeeFamily.SEV_SNP)),
-            TcbVersion(*floor),
+            self.world.gateway, family, floor
         )
 
     def provoke(self) -> bool:
@@ -373,8 +377,7 @@ class RogueBackend(Injection):
         mode = self.params.get("mode", "honest")
         self._mode = mode
         self._ip = world.next_rogue_ip()
-        self._saved_golden = list(gateway.golden_measurements)
-        self._saved_revoked = list(gateway.revoked_measurements)
+        self._saved_snp = gateway.families[str(TeeFamily.SEV_SNP)]
 
         body, status = self._build_evidence(mode)
         world.serve_evidence(self._ip, body, status=status)
@@ -414,18 +417,19 @@ class RogueBackend(Injection):
 
         if mode == "forged_signature":
             report = dataclasses.replace(report, measurement=b"\x00" * 48)
-        elif mode == "revoked_image":
-            # Previously authorized, since revoked: golden AND revoked
-            # (revocation must win, proving the code is revocation).
-            gateway.golden_measurements = sorted(
-                set(gateway.golden_measurements) | {bytes(guest.measurement)}
-            )
-            gateway.revoked_measurements = sorted(
-                set(gateway.revoked_measurements) | {bytes(guest.measurement)}
-            )
-        elif mode == "honest":
-            gateway.golden_measurements = sorted(
-                set(gateway.golden_measurements) | {bytes(guest.measurement)}
+        elif mode in ("revoked_image", "honest"):
+            # Made golden; revoked_image is also revoked: previously
+            # authorized, since revoked (revocation must win, proving
+            # the code is revocation).
+            entry = gateway.families[str(TeeFamily.SEV_SNP)]
+            added = {bytes(guest.measurement)}
+            gateway.families[str(TeeFamily.SEV_SNP)] = dataclasses.replace(
+                entry,
+                golden_measurements=sorted({*entry.golden_measurements, *added}),
+                revoked_measurements=sorted(
+                    {*entry.revoked_measurements,
+                     *(added if mode == "revoked_image" else ())}
+                ),
             )
         # tampered_image / wrong_family / forged_signature /
         # debug_guest / foreign_chip: measurement stays un-golden.
@@ -443,8 +447,11 @@ class RogueBackend(Injection):
         gateway = world.gateway
         gateway.backends.pop(self._ip, None)
         world.remove_host(self._ip)
-        gateway.golden_measurements = self._saved_golden
-        gateway.revoked_measurements = self._saved_revoked
+        gateway.families[str(TeeFamily.SEV_SNP)] = dataclasses.replace(
+            gateway.families[str(TeeFamily.SEV_SNP)],
+            golden_measurements=self._saved_snp.golden_measurements,
+            revoked_measurements=self._saved_snp.revoked_measurements,
+        )
 
     def recovered(self) -> bool:
         backends = self.world.gateway.backends
@@ -531,12 +538,12 @@ class GossipForgery(Injection):
 
     def inject(self) -> None:
         self._mode = self.params.get("mode", "fresh")
-        self._revoked_family = None
+        self._revoked = None
         if self._mode == "family_not_allowed":
             family = str(self.params.get("family", str(TeeFamily.TDX)))
-            if family not in self.world.gateway.revoked_families:
-                self.world.gateway.revoked_families.add(family)
-                self._revoked_family = family
+            entry = self.world.gateway.families.pop(family, None)
+            if entry is not None:
+                self._revoked = (family, entry)
 
     def provoke(self) -> bool:
         world = self.world
@@ -567,8 +574,9 @@ class GossipForgery(Injection):
         return gateway.accept_gossip(record, max_staleness=max_staleness)
 
     def revert(self) -> None:
-        if self._revoked_family is not None:
-            self.world.gateway.revoked_families.discard(self._revoked_family)
+        if self._revoked is not None:
+            family, entry = self._revoked
+            self.world.gateway.families[family] = entry
 
     def recovered(self) -> bool:
         backends = self.world.gateway.backends
@@ -705,14 +713,23 @@ class PipelineAttack(Injection):
 
     # -- evidence factories -----------------------------------------
 
-    def _policy(self, world, **overrides):
-        from ..attest import VerificationPolicy
-        kwargs = dict(
-            golden_measurements=(world.guest.measurement,),
+    def _policy(self, world, family=TeeFamily.SEV_SNP, entry=None, **overrides):
+        """The world's challenge binding plus one entry, *family*'s:
+        the world's launch measurement of that family, with *entry*
+        fields added; *overrides* set top-level policy fields."""
+        from ..attest import FamilyPolicy, VerificationPolicy
+        golden = {
+            str(TeeFamily.SEV_SNP): world.guest.measurement,
+            str(TeeFamily.VTPM): world.guest.measurement,
+            str(TeeFamily.TDX): world.td.mrtd,
+            str(TeeFamily.CCA): world.realm.rim,
+        }[str(family)]
+        entry = FamilyPolicy(golden_measurements=(golden,), **(entry or {}))
+        return VerificationPolicy(
             expected_report_data=world.binding,
+            families={str(family): entry},
+            **overrides,
         )
-        kwargs.update(overrides)
-        return VerificationPolicy(**kwargs)
 
     def _vtpm_evidence(self, world, vtpm: Vtpm, quote=None, event_log=None,
                        endorsement=None) -> Evidence:
@@ -734,7 +751,7 @@ class PipelineAttack(Injection):
         )
 
     def _case(self, world, mode: str):
-        from ..attest import FamilyPolicy
+        tdx, cca, vtpm_family = TeeFamily.TDX, TeeFamily.CCA, TeeFamily.VTPM
         verifier = world.verifier
         policy = self._policy(world)
         binding = world.binding
@@ -745,32 +762,28 @@ class PipelineAttack(Injection):
             evidence = Evidence(
                 str(TeeFamily.TDX), world.td.get_quote(binding).encode()
             )
-            policy = self._policy(
-                world, golden_measurements=(world.td.mrtd,)
-            )
+            policy = self._policy(world, tdx)
         elif mode == "honest_cca":
             evidence = Evidence(
                 str(TeeFamily.CCA), world.realm.attest(binding).encode()
             )
-            policy = self._policy(
-                world, golden_measurements=(world.realm.rim,)
-            )
+            policy = self._policy(world, cca)
         elif mode == "honest_vtpm":
             vtpm = world.fresh_vtpm(mode)
             evidence = self._vtpm_evidence(world, vtpm)
+            policy = self._policy(world, vtpm_family)
         elif mode == "evidence_malformed":
             evidence = Evidence(
                 str(TeeFamily.SEV_SNP), b"\x00not-a-report"
             )
         elif mode == "family_not_allowed":
             evidence = world.snp_evidence(world.guest.get_report(binding))
-            policy = self._policy(
-                world, allowed_families=(str(TeeFamily.TDX),)
-            )
+            policy = self._policy(world, tdx)
         elif mode == "no_trust_context":
             evidence = Evidence(
                 str(TeeFamily.TDX), world.td.get_quote(binding).encode()
             )
+            policy = self._policy(world, tdx)
             verifier = world.make_verifier(contexts={})
         elif mode == "unknown_platform":
             serial = "pipeline-foreign"
@@ -783,7 +796,7 @@ class PipelineAttack(Injection):
             fake = KeyDistributionServer(world.foreign_amd())
             evidence = world.snp_evidence(world.guest.get_report(binding))
             policy = self._policy(
-                world, trust_anchors=(fake.ark_certificate,)
+                world, entry={"trust_anchors": (fake.ark_certificate,)}
             )
         elif mode == "chip_id_mismatch":
             report = world.guest.get_report(binding)
@@ -822,11 +835,7 @@ class PipelineAttack(Injection):
             evidence = Evidence(
                 str(TeeFamily.TDX), world.td.get_quote(binding).encode()
             )
-            policy = self._policy(
-                world,
-                golden_measurements=(world.td.mrtd,),
-                families={str(TeeFamily.TDX): FamilyPolicy(minimum_tcb=99)},
-            )
+            policy = self._policy(world, tdx, entry={"minimum_tcb": 99})
         elif mode == "lifecycle_not_secured":
             previous = world.cca_platform.lifecycle_state
             world.cca_platform.lifecycle_state = "debug"
@@ -835,9 +844,7 @@ class PipelineAttack(Injection):
             finally:
                 world.cca_platform.lifecycle_state = previous
             evidence = Evidence(str(TeeFamily.CCA), token.encode())
-            policy = self._policy(
-                world, golden_measurements=(world.realm.rim,)
-            )
+            policy = self._policy(world, cca)
         elif mode == "rak_not_endorsed":
             # Realm token from platform A stitched onto platform B's
             # platform token: B never endorsed A's RAK.
@@ -848,15 +855,14 @@ class PipelineAttack(Injection):
                 platform_token=token_b.platform_token,
             )
             evidence = Evidence(str(TeeFamily.CCA), forged.encode())
-            policy = self._policy(
-                world, golden_measurements=(world.realm.rim,)
-            )
+            policy = self._policy(world, cca)
         elif mode == "ak_not_endorsed":
             vtpm = world.fresh_vtpm(mode)
             other = world.fresh_vtpm(mode + ":other")
             evidence = self._vtpm_evidence(
                 world, vtpm, endorsement=world.ak_endorsement(other)
             )
+            policy = self._policy(world, vtpm_family)
         elif mode == "quote_log_mismatch":
             vtpm = world.fresh_vtpm(mode)
             quote = vtpm.quote(world.binding, [PCR_SERVICES])
@@ -866,6 +872,7 @@ class PipelineAttack(Injection):
             evidence = self._vtpm_evidence(
                 world, vtpm, quote=quote, event_log=list(vtpm.event_log)
             )
+            policy = self._policy(world, vtpm_family)
         elif mode == "service_not_allowed":
             from ..attest import VtpmTrust
             vtpm = world.fresh_vtpm(mode)
@@ -873,6 +880,7 @@ class PipelineAttack(Injection):
                 PCR_SERVICES, b"unapproved-agent", "rogue service"
             )
             evidence = self._vtpm_evidence(world, vtpm)
+            policy = self._policy(world, vtpm_family)
             verifier = world.make_verifier(
                 contexts=world.contexts(
                     vtpm_trust=VtpmTrust(

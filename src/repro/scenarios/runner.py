@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..attest import get_tracer, reset_tracer
+from ..attest import TeeFamily, get_tracer, reset_tracer
 from ..crypto import ec, sigcache
 from ..fleet import FleetWorkload, HealthMonitor, UserPool
 from ..fleet.drain import rolling_rollout
@@ -282,8 +282,9 @@ class CampaignRunner:
             world.monitor = monitor
 
             family_goldens = {
-                family: policy.golden_measurements
-                for family, policy in world.fleet.family_policies().items()
+                family: goldens
+                for family, goldens in world.fleet.goldens().items()
+                if family != str(TeeFamily.SEV_SNP)
             }
 
             def extension_setup(extension):

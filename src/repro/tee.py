@@ -24,6 +24,7 @@ from .attest import (
     AttestationVerifier,
     CcaTrust,
     Evidence,
+    FamilyPolicy,
     TdxTrust,
     TeeFamily,
     VerificationPolicy,
@@ -120,8 +121,12 @@ class TeeVerifier:
         if evidence.kind not in set(self.supported_kinds()):
             raise TeeError(f"no verifier configured for {evidence.kind!r}")
         policy = VerificationPolicy(
-            golden_measurements=[bytes(m) for m in expected_measurements],
             expected_report_data=expected_report_data,
+            families={
+                evidence.kind: FamilyPolicy(
+                    golden_measurements=[bytes(m) for m in expected_measurements]
+                )
+            },
         )
         outcome = self._engine.verify(
             Evidence(evidence.kind, evidence.body),

@@ -26,6 +26,7 @@ from ..attest import (
     STEP_REPORT_DATA,
     STEP_SERVICE_ALLOWLIST,
     AttestationVerifier,
+    FamilyPolicy,
     TeeFamily,
     VerificationPolicy,
     VtpmTrust,
@@ -157,8 +158,12 @@ class RuntimeMonitor:
         """Validate evidence end to end; raises :class:`VtpmError` or
         :class:`~repro.amd.verify.AttestationError` on any failure."""
         policy = VerificationPolicy(
-            golden_measurements=[self.expected_measurement],
             expected_report_data=nonce,
+            families={
+                str(TeeFamily.VTPM): FamilyPolicy(
+                    golden_measurements=[self.expected_measurement]
+                )
+            },
         )
         outcome = self.verifier.verify(
             vtpm_evidence(evidence), now=now, policy=policy

@@ -18,6 +18,7 @@ from repro.amd.verify import AttestationError
 from repro.attest import (
     AttestationTracer,
     AttestationVerifier,
+    FamilyPolicy,
     VerificationPolicy,
 )
 from repro.core.kds_client import KdsClient
@@ -76,12 +77,16 @@ def world():
     }
 
 
-def base_policy(world, **overrides):
+def base_policy(world, entry=None, **overrides):
+    """*entry* overrides fields of the SEV-SNP entry, *overrides*
+    top-level fields."""
+    fields = dict(golden_measurements=(world["guest"].measurement,))
+    fields.update(entry or {})
     kwargs = dict(
-        golden_measurements=(world["guest"].measurement,),
         expected_report_data=REPORT_DATA,
         allowed_chip_ids=(world["chip"].chip_id,),
         minimum_tcb=TcbVersion(1, 0, 0, 0),
+        families={"sev-snp": FamilyPolicy(**fields)},
     )
     kwargs.update(overrides)
     return VerificationPolicy(**kwargs)
@@ -90,7 +95,8 @@ def base_policy(world, **overrides):
 def inject_measurement_revoked(world):
     report = world["guest"].get_report(REPORT_DATA)
     policy = base_policy(
-        world, revoked_measurements=(bytes(world["guest"].measurement),)
+        world,
+        entry={"revoked_measurements": (bytes(world["guest"].measurement),)},
     )
     return world["client"], report, policy
 
@@ -106,7 +112,7 @@ def inject_unknown_platform(world):
 def inject_bad_cert_chain(world):
     fake = KeyDistributionServer(AmdKeyInfrastructure(HmacDrbg(b"fake-root")))
     report = world["guest"].get_report(REPORT_DATA)
-    policy = base_policy(world, trust_anchors=(fake.ark_certificate,))
+    policy = base_policy(world, entry={"trust_anchors": (fake.ark_certificate,)})
     return world["client"], report, policy
 
 
@@ -143,7 +149,7 @@ def inject_debug_policy(world):
 
 def inject_measurement_mismatch(world):
     report = world["guest"].get_report(REPORT_DATA)
-    policy = base_policy(world, golden_measurements=(b"\xff" * 48,))
+    policy = base_policy(world, entry={"golden_measurements": (b"\xff" * 48,)})
     return world["client"], report, policy
 
 

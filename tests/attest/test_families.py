@@ -9,9 +9,13 @@ import pytest
 
 from repro.amd.policy import GuestPolicy
 from repro.amd.kds import KeyDistributionServer
+from repro.amd.report import AttestationReport
 from repro.amd.secure_processor import AmdKeyInfrastructure
 from repro.amd.tcb import TcbVersion
 from repro.attest import (
+    STEP_FAMILY_ALLOWED,
+    STEP_MEASUREMENT,
+    STEP_REVOCATION,
     AttestationTracer,
     AttestationVerifier,
     CcaTrust,
@@ -123,16 +127,19 @@ def harness():
     return verifier, cases
 
 
-def _verify(verifier, case, binding=BINDING, **policy_overrides):
-    kwargs = dict(
-        golden_measurements=(case.measurement,),
-        expected_report_data=BINDING,
-    )
-    kwargs.update(policy_overrides)
+def _entry(case, **fields):
+    """*case*'s family entry: golden on its measurement, plus *fields*."""
+    return FamilyPolicy(golden_measurements=(case.measurement,), **fields)
+
+
+def _verify(verifier, case, binding=BINDING, families=None):
+    """Verify *case*'s evidence; *families* defaults to the one entry
+    :func:`_entry` builds for it."""
+    if families is None:
+        families = {case.family: _entry(case)}
     evidence = Evidence(case.family, case.make_evidence(binding))
-    return verifier.verify(
-        evidence, now=NOW, policy=VerificationPolicy(**kwargs)
-    )
+    policy = VerificationPolicy(expected_report_data=BINDING, families=families)
+    return verifier.verify(evidence, now=NOW, policy=policy)
 
 
 class TestParityMatrix:
@@ -146,10 +153,8 @@ class TestParityMatrix:
     def test_family_not_allowed_is_uniform(self, harness):
         verifier, cases = harness
         for case in cases:
-            others = tuple(
-                c.family for c in cases if c.family != case.family
-            )
-            outcome = _verify(verifier, case, allowed_families=others)
+            others = {c.family: _entry(c) for c in cases if c is not case}
+            outcome = _verify(verifier, case, families=others)
             assert not outcome.ok, case.family
             assert outcome.reason == "family_not_allowed", case.family
             assert case.family in outcome.detail
@@ -158,7 +163,13 @@ class TestParityMatrix:
         verifier, cases = harness
         for case in cases:
             outcome = _verify(
-                verifier, case, golden_measurements=(b"\x99" * 48,)
+                verifier,
+                case,
+                families={
+                    case.family: FamilyPolicy(
+                        golden_measurements=(b"\x99" * 48,)
+                    )
+                },
             )
             assert not outcome.ok, case.family
             assert outcome.reason == "measurement_mismatch", case.family
@@ -167,10 +178,18 @@ class TestParityMatrix:
         verifier, cases = harness
         for case in cases:
             outcome = _verify(
-                verifier, case, revoked_measurements=(case.measurement,)
+                verifier,
+                case,
+                families={
+                    case.family: _entry(
+                        case, revoked_measurements=(case.measurement,)
+                    )
+                },
             )
             assert not outcome.ok, case.family
+            # Golden and revoked in one entry: revocation wins.
             assert outcome.reason == "measurement_revoked", case.family
+            assert outcome.failure.name == STEP_REVOCATION, case.family
 
     def test_report_data_mismatch_is_uniform(self, harness):
         verifier, cases = harness
@@ -186,7 +205,7 @@ class TestParityMatrix:
                 verifier,
                 case,
                 families={
-                    case.family: FamilyPolicy(minimum_tcb=case.floor_too_high)
+                    case.family: _entry(case, minimum_tcb=case.floor_too_high)
                 },
             )
             assert not outcome.ok, case.family
@@ -201,3 +220,97 @@ class TestParityMatrix:
                 counters.failures_by_family[case.family]["family_not_allowed"]
                 >= 1
             )
+
+
+class TestOneRule:
+    """A family's expectations are its entry: with ``families`` set,
+    a family with no entry is not admissible, and an entry without
+    goldens skips that family's measurement step and nothing else."""
+
+    def test_a_familys_expectations_are_its_entry(self, harness):
+        verifier, cases = harness
+        for case in cases:
+            others = {c.family: _entry(c) for c in cases if c is not case}
+            # (families, expected reason or None for a pass,
+            #  whether the measurement step runs)
+            table = [
+                ({**others, case.family: _entry(case)}, None, True),
+                (others, "family_not_allowed", False),
+                ({**others, case.family: FamilyPolicy()}, None, False),
+            ]
+            runs = []
+            for families, reason, measured in table:
+                outcome = _verify(verifier, case, families=families)
+                assert outcome.reason == reason, (case.family, reason)
+                assert (
+                    outcome.step(STEP_MEASUREMENT) is not None
+                ) == measured, (case.family, reason)
+                runs.append([step.name for step in outcome.steps])
+            with_goldens, missing, without_goldens = runs
+            assert missing == [STEP_FAMILY_ALLOWED], case.family
+            assert without_goldens == [
+                name for name in with_goldens if name != STEP_MEASUREMENT
+            ], case.family
+
+    def test_bare_snp_report_needs_an_snp_entry(self, harness):
+        verifier, cases = harness
+        snp, tdx = cases[0], cases[1]
+        report = AttestationReport.decode(snp.make_evidence(BINDING))
+        outcome = verifier.verify(
+            report,
+            now=NOW,
+            policy=VerificationPolicy(
+                expected_report_data=BINDING, families={tdx.family: _entry(tdx)}
+            ),
+        )
+        assert outcome.reason == "family_not_allowed"
+        assert [step.name for step in outcome.steps] == [STEP_FAMILY_ALLOWED]
+        passing = verifier.verify(
+            report,
+            now=NOW,
+            policy=VerificationPolicy(
+                expected_report_data=BINDING, families={snp.family: _entry(snp)}
+            ),
+        )
+        assert passing.ok and passing.steps[0].name == STEP_FAMILY_ALLOWED
+
+    def test_no_families_means_no_expectations(self, harness):
+        verifier, cases = harness
+        for case in cases:
+            evidence = Evidence(case.family, case.make_evidence(BINDING))
+            outcome = verifier.verify(evidence, now=NOW)
+            assert outcome.ok, (case.family, outcome.reason)
+            assert outcome.step(STEP_FAMILY_ALLOWED) is None
+            assert outcome.step(STEP_MEASUREMENT) is None
+
+
+class TestFloorTypes:
+    """A TCB floor must be its family's native type when the policy is
+    built: a TcbVersion for SNP and the e-vTPM, an int SVN for TDX and
+    CCA.  The wrong type would otherwise escape verification as a bare
+    TypeError/AttributeError from the comparison."""
+
+    @pytest.mark.parametrize(
+        "family, floor",
+        [
+            ("sev-snp", 4),
+            ("e-vtpm", 4),
+            ("tdx", TcbVersion(255, 255, 255, 255)),
+            ("arm-cca", TcbVersion(255, 255, 255, 255)),
+        ],
+    )
+    def test_wrong_floor_type_is_rejected_naming_the_family(
+        self, family, floor
+    ):
+        with pytest.raises(ValueError, match=family):
+            VerificationPolicy(families={family: FamilyPolicy(minimum_tcb=floor)})
+
+    def test_native_floor_types_are_accepted(self, harness):
+        _, cases = harness
+        policy = VerificationPolicy(
+            families={
+                case.family: FamilyPolicy(minimum_tcb=case.floor_too_high)
+                for case in cases
+            }
+        )
+        assert len(policy.families) == len(cases)

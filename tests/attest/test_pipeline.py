@@ -12,6 +12,7 @@ from repro.attest import (
     STEP_CHIP_ID_ALLOWLIST,
     STEP_CHIP_ID_BINDING,
     STEP_DEBUG_POLICY,
+    STEP_FAMILY_ALLOWED,
     STEP_MEASUREMENT,
     STEP_REPORT_DATA,
     STEP_REVOCATION,
@@ -21,6 +22,7 @@ from repro.attest import (
     STEP_VCEK_FETCH,
     AttestationTracer,
     AttestationVerifier,
+    FamilyPolicy,
     TraceSink,
     VerificationPolicy,
     get_tracer,
@@ -60,13 +62,19 @@ def world():
     }
 
 
-def full_policy(world, **overrides):
-    kwargs = dict(
+def full_policy(world, entry=None, **overrides):
+    """Every check configured; *entry* overrides fields of the SEV-SNP
+    entry, *overrides* top-level fields."""
+    fields = dict(
         golden_measurements=(world["guest"].measurement,),
         revoked_measurements=(b"\x0d" * 48,),
+    )
+    fields.update(entry or {})
+    kwargs = dict(
         expected_report_data=REPORT_DATA,
         allowed_chip_ids=(world["chip"].chip_id,),
         minimum_tcb=TcbVersion(1, 0, 0, 0),
+        families={"sev-snp": FamilyPolicy(**fields)},
     )
     kwargs.update(overrides)
     return VerificationPolicy(**kwargs)
@@ -96,6 +104,7 @@ class TestHappyPath:
         outcome = verifier.verify(report, now=NOW, policy=full_policy(world))
         assert outcome.ok
         assert [s.name for s in outcome.steps] == [
+            STEP_FAMILY_ALLOWED,
             STEP_REVOCATION,
             STEP_VCEK_FETCH,
             STEP_CERT_CHAIN,
@@ -158,7 +167,7 @@ class TestFailureOutcomes:
     def test_failure_stops_pipeline_and_records_reason(self, world):
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
         report = world["guest"].get_report(REPORT_DATA)
-        policy = full_policy(world, golden_measurements=(b"\xff" * 48,))
+        policy = full_policy(world, entry={"golden_measurements": (b"\xff" * 48,)})
         outcome = verifier.verify(report, now=NOW, policy=policy)
         assert not outcome.ok and outcome.verdict == "fail"
         assert outcome.steps[-1].name == STEP_MEASUREMENT
@@ -186,19 +195,26 @@ class TestFailureOutcomes:
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
         report = world["guest"].get_report(REPORT_DATA)
         measurement = bytes(world["guest"].measurement)
-        policy = full_policy(world, revoked_measurements=(measurement,))
+        policy = full_policy(
+            world, entry={"revoked_measurements": (measurement,)}
+        )
         outcome = verifier.verify(report, now=NOW, policy=policy)
         assert outcome.reason == "measurement_revoked"
         assert "revoked" in outcome.detail
         # The pipeline never reached the KDS.
-        assert [s.name for s in outcome.steps] == [STEP_REVOCATION]
+        assert [s.name for s in outcome.steps] == [
+            STEP_FAMILY_ALLOWED,
+            STEP_REVOCATION,
+        ]
         assert outcome.sim_cost == 0.0
 
     def test_trust_anchor_override(self, world):
         fake = KeyDistributionServer(AmdKeyInfrastructure(HmacDrbg(b"fake")))
         verifier = AttestationVerifier(world["client"], tracer=AttestationTracer())
         report = world["guest"].get_report(REPORT_DATA)
-        policy = full_policy(world, trust_anchors=(fake.ark_certificate,))
+        policy = full_policy(
+            world, entry={"trust_anchors": (fake.ark_certificate,)}
+        )
         outcome = verifier.verify(report, now=NOW, policy=policy)
         assert outcome.reason == "bad_cert_chain"
         assert outcome.steps[-1].name == STEP_CERT_CHAIN
@@ -213,7 +229,7 @@ class TestTracing:
         verifier.verify(
             report,
             now=NOW,
-            policy=full_policy(world, golden_measurements=(b"\xff" * 48,)),
+            policy=full_policy(world, entry={"golden_measurements": (b"\xff" * 48,)}),
         )
         counters = tracer.counters
         assert counters.verifications_by_verdict == {"pass": 1, "fail": 1}

@@ -70,8 +70,9 @@ class TestRollingRollout:
             assert deployed.vm.name.endswith("-v2.0.0")
             assert deployed.node.serving
         assert deployment.build is fleet_build_v2
-        assert gateway.golden_measurements == [new_m]
-        assert old_m in gateway.revoked_measurements
+        snp = gateway.families["sev-snp"]
+        assert snp.golden_measurements == (new_m,)
+        assert old_m in snp.revoked_measurements
         assert old_m not in deployment.sp.expected_measurements
         assert new_m in deployment.sp.expected_measurements
         for backend in gateway.backends.values():

@@ -186,6 +186,34 @@ class TestFamilyFaults:
         assert gateway.attest_and_admit("10.1.0.40").ok
         assert gateway.attest_and_admit(sorted(gateway.backends)[0]).ok
 
+    def test_floor_of_the_wrong_type_is_rejected_at_once(self, sync_world):
+        """TDX/CCA floors are SVN ints, SNP/e-vTPM floors TcbVersions;
+        the wrong type is refused when set, naming the family, instead
+        of escaping a later re-attestation as an untyped exception."""
+        deployment, gateway, _ = sync_world
+        self._hetero(deployment, gateway)
+        with pytest.raises(ValueError, match="tdx"):
+            raise_family_tcb_floor(
+                gateway, "tdx", TcbVersion(255, 255, 255, 255)
+            )
+        with pytest.raises(ValueError, match="sev-snp"):
+            raise_family_tcb_floor(gateway, "sev-snp", 4)
+        # Nothing was set: both families still re-attest.
+        assert gateway.families["tdx"].minimum_tcb is None
+        assert gateway.families["sev-snp"].minimum_tcb is None
+        assert gateway.attest_and_admit("10.1.0.10").ok
+        assert gateway.attest_and_admit(sorted(gateway.backends)[0]).ok
+
+    def test_reconfigure_never_readmits_a_revoked_family(self, sync_world):
+        deployment, gateway, _ = sync_world
+        fleet = self._hetero(deployment, gateway)
+        revoke_family(gateway, "tdx")
+        fleet.configure(gateway)
+        assert "tdx" not in gateway.families
+        gateway.add_backend("10.1.0.10", family="tdx")
+        verdict = gateway.attest_and_admit("10.1.0.10")
+        assert verdict.reason == "family_not_allowed"
+
 
 class TestSymmetricRevert:
     """Every injector's ``revert()`` restores pre-attack admission
@@ -241,7 +269,7 @@ class TestSymmetricRevert:
         assert gateway.attest_and_admit("10.1.0.10").reason == "family_tcb_floor"
 
         handle.revert()
-        assert "tdx" not in gateway.family_tcb_floors
+        assert gateway.families["tdx"].minimum_tcb is None
         gateway.add_backend("10.1.0.10", family="tdx")
         assert gateway.attest_and_admit("10.1.0.10").ok
 
@@ -255,7 +283,7 @@ class TestSymmetricRevert:
         assert not gateway.attest_and_admit("10.1.0.10").ok
 
         handle.revert()
-        assert "tdx" not in gateway.revoked_families
+        assert "tdx" in gateway.families
         gateway.add_backend("10.1.0.10", family="tdx")
         assert gateway.attest_and_admit("10.1.0.10").ok
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attest import FamilyPolicy
 from repro.core.deployment import MINIMAL_PAGE
 from repro.fleet import FleetGateway, GatewayError
 from repro.fleet.gateway import BackendState
@@ -33,7 +34,7 @@ class TestAdmission:
             domain=deployment.domain,
             kds=deployment._new_kds_client(),
             trust_anchors=[deployment.web_pki.trust_anchor],
-            golden_measurements=[b"\x00" * 48],
+            families={"sev-snp": FamilyPolicy(golden_measurements=[b"\x00" * 48])},
             rng=deployment.rng.fork(b"strict-gw"),
             name="strict-gateway",
         )

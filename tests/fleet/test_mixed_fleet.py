@@ -40,8 +40,9 @@ def attach_hetero(deployment, gateway):
 
 def extension_setup_for(deployment, fleet):
     family_goldens = {
-        family: policy.golden_measurements
-        for family, policy in fleet.family_policies().items()
+        family: goldens
+        for family, goldens in fleet.goldens().items()
+        if family != "sev-snp"
     }
 
     def setup(extension):

@@ -64,6 +64,7 @@ class TestProvisionUnderStorm:
         provisioner = make_provisioner(deployment, mesh, fleet)
         old = bytes(fleet_build.expected_measurement)
         new = bytes(fleet_build_v2.expected_measurement)
+        old_goldens = fleet.goldens()
 
         def delayed_provision():
             yield sleep(2.0)
@@ -100,12 +101,18 @@ class TestProvisionUnderStorm:
         assert [entry["region"] for entry in report.regions] == sorted(REGIONS)
 
         # The whole world moved: deployment build swapped, the old
-        # measurement revoked everywhere, every backend re-admitted.
+        # measurement revoked everywhere, every family's retired goldens
+        # revoked in its own entry, every backend re-admitted.
         assert deployment.build is fleet_build_v2
         for gateway in mesh.gateways.values():
-            assert new in gateway.golden_measurements
-            assert old not in gateway.golden_measurements
-            assert old in gateway.revoked_measurements
+            snp = gateway.families["sev-snp"]
+            assert new in snp.golden_measurements
+            assert old not in snp.golden_measurements
+            assert old in snp.revoked_measurements
+            for family, goldens in old_goldens.items():
+                entry = gateway.families[family]
+                assert set(goldens) <= set(entry.revoked_measurements)
+                assert not set(goldens) & set(entry.golden_measurements)
             for backend in gateway.backends.values():
                 assert backend.state == "admitted"
 
@@ -140,8 +147,9 @@ class TestProvisionUnderStorm:
         # Nothing moved: old build, old goldens, no retired backend.
         assert deployment.build is fleet_build
         for gateway in mesh.gateways.values():
-            assert old in gateway.golden_measurements
-            assert old not in gateway.revoked_measurements
+            snp = gateway.families["sev-snp"]
+            assert old in snp.golden_measurements
+            assert old not in snp.revoked_measurements
         workload, _ = run_storm(mesh, kernel, sessions=60)
         assert workload.sessions_completed == 60
         assert workload.sessions_failed == 0
@@ -175,7 +183,7 @@ class TestSuccessiveRuns:
         # The whole epoch-1 world is now revoked.
         v2 = bytes(fleet_build_v2.expected_measurement)
         for gateway in mesh.gateways.values():
-            assert v2 in gateway.revoked_measurements
+            assert v2 in gateway.families["sev-snp"].revoked_measurements
         workload, _ = run_storm(mesh, kernel, sessions=60)
         assert workload.sessions_completed == 60
         assert workload.sessions_failed == 0

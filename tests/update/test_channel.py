@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.attest import VerificationPolicy, reset_tracer
+from repro.attest import FamilyPolicy, VerificationPolicy, reset_tracer
 from repro.attest.trace import get_tracer
 from repro.build import (
     CHANNEL_REASON_CODES,
@@ -124,9 +124,13 @@ class TestVerifyManifest:
         self, channel_world, update_world
     ):
         policy = VerificationPolicy(
-            golden_measurements=[
-                update_world["target"].expected_measurement
-            ]
+            families={
+                "sev-snp": FamilyPolicy(
+                    golden_measurements=[
+                        update_world["target"].expected_measurement
+                    ]
+                )
+            }
         )
         with pytest.raises(ChannelError) as info:
             verify_manifest(
@@ -138,7 +142,13 @@ class TestVerifyManifest:
         assert info.value.code == "base_mismatch"
         # The same manifest passes once its base is in the golden set.
         welcoming = VerificationPolicy(
-            golden_measurements=[update_world["base"].expected_measurement]
+            families={
+                "sev-snp": FamilyPolicy(
+                    golden_measurements=[
+                        update_world["base"].expected_measurement
+                    ]
+                )
+            }
         )
         verify_manifest(
             channel_world["signed"],
